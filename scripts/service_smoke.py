@@ -14,7 +14,11 @@ the outside:
 4.  edit the source and ``POST /transform/delta`` against the step-2
     request: the incremental response must be byte-identical to a full
     transform of the edited document;
-5.  ``GET /health`` and ``GET /metrics`` (expect 200; the metrics text
+5.  register an A→B and a B→C mapping, ``POST /mappings/compose``
+    them, and transform through the composed fingerprint: the response
+    must be byte-identical to what ``python -m repro run --compose``
+    writes;
+6.  ``GET /health`` and ``GET /metrics`` (expect 200; the metrics text
     must show the plan-cache hit from step 1, the latency histogram
     buckets, and the incremental hit/fallback counters) — through real
     ``curl`` when it's on PATH, urllib otherwise, so the CI leg
@@ -42,9 +46,13 @@ SRC = REPO / "src"
 
 sys.path.insert(0, str(SRC))
 
+from repro.core.mapping import ClipMapping  # noqa: E402
 from repro.io import dumps  # noqa: E402
 from repro.scenarios import deptstore  # noqa: E402
+from repro.xml.model import element  # noqa: E402
 from repro.xml.serialize import to_xml  # noqa: E402
+from repro.xsd.dsl import attr, elem, schema  # noqa: E402
+from repro.xsd.types import INT, STRING  # noqa: E402
 
 FIGURES = {"fig3": deptstore.mapping_fig3, "fig6": deptstore.mapping_fig6}
 
@@ -112,6 +120,66 @@ def cli_run(tmp: Path, figure: str, *flags: str) -> bytes:
         capture_output=True,
     )
     return out_path.read_bytes()
+
+
+def compose_chain() -> tuple[ClipMapping, ClipMapping, str]:
+    """An A→B and a B→C mapping inside the composable fragment, plus an
+    A source document."""
+    src_a = schema(elem(
+        "S",
+        elem("dept", "[0..*]", attr("dname", STRING),
+             elem("emp", "[0..*]", attr("name", STRING),
+                  elem("sal", text=INT))),
+    ))
+    src_b = schema(elem(
+        "B",
+        elem("department", "[0..*]", attr("dn", STRING),
+             elem("employee", "[0..*]", attr("ename", STRING),
+                  elem("pay", text=INT))),
+    ))
+    src_c = schema(elem(
+        "C",
+        elem("rich", "[0..*]", attr("who", STRING), attr("unit", STRING)),
+    ))
+    m_ab = ClipMapping(src_a, src_b)
+    d = m_ab.build("dept", "department", var="d")
+    m_ab.build("dept/emp", "department/employee", var="e", parent=d)
+    m_ab.value("dept/@dname", "department/@dn")
+    m_ab.value("dept/emp/@name", "department/employee/@ename")
+    m_ab.value("dept/emp/sal/value", "department/employee/pay/value")
+    m_bc = ClipMapping(src_b, src_c)
+    ctx = m_bc.context("department", var="x")
+    m_bc.build("department/employee", "rich", var="y", parent=ctx,
+               condition="$y.pay.value > 1000")
+    m_bc.value("department/employee/@ename", "rich/@who")
+    m_bc.value("department/@dn", "rich/@unit")
+    source = to_xml(element(
+        "S",
+        element("dept",
+                element("emp", element("sal", text=1500), name="Ann"),
+                element("emp", element("sal", text=900), name="Bob"),
+                dname="ICT"),
+        element("dept",
+                element("emp", element("sal", text=2000), name="Cid"),
+                dname="Sales"),
+    ))
+    return m_ab, m_bc, source
+
+
+def cli_run_compose(tmp: Path, m_ab: ClipMapping, m_bc: ClipMapping,
+                    source: str) -> bytes:
+    """The composed byte-identity reference: ``run --compose``."""
+    paths = [tmp / name for name in ("ab.json", "bc.json", "s.xml", "c.xml")]
+    paths[0].write_text(dumps(m_ab), encoding="utf-8")
+    paths[1].write_text(dumps(m_bc), encoding="utf-8")
+    paths[2].write_text(source, encoding="utf-8")
+    subprocess.run(
+        [sys.executable, "-m", "repro", "run", str(paths[0]), str(paths[2]),
+         "--compose", str(paths[1]), "-o", str(paths[3])],
+        check=True, env={"PYTHONPATH": str(SRC)}, cwd=REPO,
+        capture_output=True,
+    )
+    return paths[3].read_bytes()
 
 
 def main() -> int:
@@ -210,6 +278,33 @@ def main() -> int:
               in ("unchanged", "scoped", "fallback"),
               f"{status}, {len(body)} vs {len(expected)} bytes, "
               f"mode={headers.get('X-Clip-Incremental')!r}")
+
+        m_ab, m_bc, compose_source = compose_chain()
+        operands = []
+        for name, mapping in (("A→B", m_ab), ("B→C", m_bc)):
+            status, body = http("POST", f"{base}/mappings",
+                                dumps(mapping).encode("utf-8"))
+            check(f"register {name}", status == 201,
+                  f"{status} {body[:120]!r}")
+            operands.append(json.loads(body).get("fingerprint", ""))
+        status, body = http(
+            "POST", f"{base}/mappings/compose",
+            json.dumps({"first": operands[0],
+                        "second": operands[1]}).encode("utf-8"),
+            content_type="application/json",
+        )
+        check("compose A→B with B→C", status == 201,
+              f"{status} {body[:120]!r}")
+        composed_fp = json.loads(body).get("fingerprint", "")
+        with tempfile.TemporaryDirectory() as tmp:
+            expected = cli_run_compose(Path(tmp), m_ab, m_bc, compose_source)
+        status, body = http(
+            "POST", f"{base}/transform?mapping={composed_fp}",
+            compose_source.encode("utf-8"),
+        )
+        check("composed transform == CLI run --compose output",
+              status == 200 and body == expected,
+              f"{status}, {len(body)} vs {len(expected)} bytes")
 
         status, body = curl_get(f"{base}/health")
         check("GET /health", status == 200

@@ -76,7 +76,7 @@ def _as_tgd(mapping: _MappingLike) -> NestedTgd:
 def compose_fingerprint(first_fp: str, second_fp: str) -> str:
     """The cache fingerprint of a fused two-stage plan: a hash over the
     stage fingerprints, so the fused key inherits engine/optimize/exec
-    markers (and canonicalization) from its parts."""
+    markers from its parts."""
     payload = f"compose\n{first_fp}\n{second_fp}".encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 

@@ -24,9 +24,7 @@ assignments or submappings: the XML instance model is ordered, so those
 orders are observable in the output bytes and two tgds differing there
 are *not* interchangeable.
 
-``canonical_render`` is the printable form of the normal form; the plan
-cache hashes it (:func:`repro.runtime.plan.canonical_fingerprint`) so
-alpha-renamed registrations share one compiled plan.
+``canonical_render`` is the printable form of the normal form.
 """
 
 from __future__ import annotations
@@ -210,10 +208,8 @@ def canonical_tgd(tgd: NestedTgd) -> NestedTgd:
 def canonical_render(tgd: NestedTgd) -> str:
     """The canonical printed form: schema roots, then the normalized tgd.
 
-    This string — not the raw ``render_tgd`` output — is what
-    canonicalized plan-cache fingerprints hash, so it embeds the source
-    and target root tags (they are part of the transformation's
-    identity but not of the rendered mapping body).
+    It embeds the source and target root tags (they are part of the
+    transformation's identity but not of the rendered mapping body).
     """
     normal = canonical_tgd(tgd)
     return (

@@ -196,6 +196,11 @@ class PlanExplain:
     codegen: Optional[dict] = None
 
     def to_dict(self) -> dict:
+        return self.document(self.result.size())
+
+    def document(self, result_elements: int) -> dict:
+        """The ``clip-plan-explain`` document, for callers that already
+        counted the result's elements (no second tree walk)."""
         totals: dict[str, int] = {}
         for counter in self.counters:
             for name, value in counter.items():
@@ -210,7 +215,7 @@ class PlanExplain:
                 for level, counter in zip(self.levels, self.counters)
             ],
             "totals": totals,
-            "result_elements": self.result.size(),
+            "result_elements": result_elements,
         }
         if self.codegen is not None:
             doc["codegen"] = self.codegen

@@ -83,6 +83,7 @@ from ..runtime import (
     PlanCache,
     SpanTracer,
     eligible_engines,
+    fingerprint,
     plan_from_tgd,
 )
 from ..runtime.incremental import transform_delta
@@ -332,8 +333,8 @@ class FuzzFarm:
             )
             return
         fp = compose_fingerprint(
-            self.cache.fingerprint_for(case.mapping, "tgd", optimize=True),
-            self.cache.fingerprint_for(second, "tgd", optimize=True),
+            fingerprint(case.mapping, "tgd", optimize=True),
+            fingerprint(second, "tgd", optimize=True),
         )
         try:
             fused_plan = plan_from_tgd(
@@ -714,10 +715,8 @@ class FuzzFarm:
         try:
             fused_tgd = compose_tgds(reference.tgd, second_plan.tgd)
             fp = compose_fingerprint(
-                self.cache.fingerprint_for(
-                    case.mapping, "tgd", optimize=True
-                ),
-                self.cache.fingerprint_for(second, "tgd", optimize=True),
+                fingerprint(case.mapping, "tgd", optimize=True),
+                fingerprint(second, "tgd", optimize=True),
             )
             fused_plan = plan_from_tgd(fused_tgd, "tgd", fp=fp, optimize=True)
             actual = fused_plan.run(case.instance)

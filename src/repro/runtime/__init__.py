@@ -5,9 +5,10 @@ tgd, XQuery, XSLT) exactly once and then applies them to any number of
 instance documents.  This package is the serving-side realization of
 that split:
 
-* :mod:`repro.runtime.plan` — :class:`CompiledPlan` (the once-per-
-  mapping work, reified) and the structural :func:`fingerprint` that
-  identifies it;
+* :mod:`repro.runtime.plan` — :class:`ExecSpec` (the resolved
+  engine / optimize / exec-mode triple), :class:`CompiledPlan` (the
+  once-per-mapping work, reified) and the structural
+  :func:`fingerprint` that identifies it;
 * :mod:`repro.runtime.cache` — :class:`PlanCache`, an LRU keyed on
   fingerprints with hit/miss/compile-time accounting;
 * :mod:`repro.runtime.batch` — :class:`BatchRunner`, order-preserving
@@ -79,7 +80,7 @@ from .metrics import (
 from .plan import (
     ENGINES,
     CompiledPlan,
-    canonical_fingerprint,
+    ExecSpec,
     compile_plan,
     eligible_engines,
     fingerprint,
@@ -111,6 +112,7 @@ __all__ = [
     "DeadLetter",
     "Deadline",
     "DocumentFailure",
+    "ExecSpec",
     "ErrorPolicy",
     "Fault",
     "FaultInjector",
@@ -130,7 +132,6 @@ __all__ = [
     "TRACE_VERSION",
     "Trace",
     "call_with_timeout",
-    "canonical_fingerprint",
     "combine_seeds",
     "compile_plan",
     "default_cache",

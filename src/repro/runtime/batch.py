@@ -46,6 +46,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..core.mapping import ClipMapping
+from ..core.tgd import NestedTgd
 from ..errors import (
     DocumentFailureError,
     WorkerCrashError,
@@ -56,8 +57,7 @@ from ..xsd.validate import validate as validate_instance
 from .cache import PlanCache, default_cache
 from .faults import DeadLetter, DocumentFailure, ErrorPolicy, FaultInjector
 from .metrics import BatchMetrics
-from .plan import ENGINES, plan_from_tgd
-from .plan import fingerprint as compute_fingerprint
+from .plan import ExecSpec, plan_from_tgd
 from .retry import RetryPolicy, call_with_timeout
 from .trace import event_payload, shift_payload
 
@@ -150,13 +150,11 @@ _WORKER_TRACE: bool = False
 
 def _init_worker(
     tgd_bytes: bytes,
-    engine: str,
+    spec: ExecSpec,
     injector_bytes: bytes,
     timeout: Optional[float],
-    optimize: bool = True,
-    trace: bool = False,
-    exec_mode: str = "interp",
-    codegen_source: Optional[str] = None,
+    trace: bool,
+    codegen_source: Optional[str],
 ) -> None:
     """Pool initializer: rebuild the engine plan once per worker.
 
@@ -168,8 +166,8 @@ def _init_worker(
     """
     global _WORKER_PLAN, _WORKER_INJECTOR, _WORKER_TIMEOUT, _WORKER_TRACE
     _WORKER_PLAN = plan_from_tgd(
-        pickle.loads(tgd_bytes), engine, optimize=optimize,
-        exec_mode=exec_mode, codegen_source=codegen_source,
+        pickle.loads(tgd_bytes), spec.engine, optimize=spec.optimize,
+        exec_mode=spec.exec_mode, codegen_source=codegen_source,
     )
     _WORKER_INJECTOR = pickle.loads(injector_bytes) if injector_bytes else None
     _WORKER_TIMEOUT = timeout
@@ -326,7 +324,11 @@ class BatchRunner:
     Parameters
     ----------
     mapping:
-        The Clip mapping to apply.
+        The Clip mapping to apply — or a composed mapping, given as its
+        fused :class:`NestedTgd` together with ``fingerprint`` (a
+        composition has no drawing to fingerprint, nor a target schema
+        to ``validate`` against; its traces are seeded by the
+        fingerprint).
     engine:
         ``"tgd"`` (default), ``"xquery"`` or ``"xslt"``.
     workers:
@@ -337,10 +339,6 @@ class BatchRunner:
     validate:
         Validate every result against the mapping's target schema and
         count violations into the metrics.
-    chunksize:
-        Retained for compatibility; the fault-tolerant pool dispatches
-        per document (retry and replay need per-document futures), so
-        the value is accepted and ignored.
     error_policy:
         ``"fail_fast"`` (default — first terminal failure raises
         :class:`DocumentFailureError`), ``"skip"`` (drop failed
@@ -390,18 +388,19 @@ class BatchRunner:
         mapping; ``None`` (default) computes it, as before.  Passing a
         fingerprint that does not match the other arguments corrupts
         cache keying — only pass values obtained from
-        :func:`repro.runtime.plan.fingerprint` with identical inputs.
+        :func:`repro.runtime.plan.fingerprint` with identical inputs
+        (or, for a composed mapping, its
+        :func:`repro.algebra.compose_fingerprint`).
     """
 
     def __init__(
         self,
-        mapping: ClipMapping,
+        mapping: Union[ClipMapping, NestedTgd],
         *,
         engine: str = "tgd",
         workers: int = 1,
         cache: Optional[PlanCache] = None,
         validate: bool = False,
-        chunksize: Optional[int] = None,
         error_policy: Union[ErrorPolicy, str] = ErrorPolicy.FAIL_FAST,
         max_retries: int = 0,
         backoff: float = 0.05,
@@ -413,45 +412,33 @@ class BatchRunner:
         trace=None,
         fingerprint: Optional[str] = None,
     ):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; use one of {ENGINES}")
+        self.spec = ExecSpec(engine, optimize, exec_mode)
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise ValueError(
                 f"workers must be a positive integer, got {workers!r}"
             )
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be positive, got {chunksize!r}")
         self.mapping = mapping
-        self.engine = engine
+        #: The schema ``validate`` checks results against.
+        self.target = None if isinstance(mapping, NestedTgd) else mapping.target
+        if validate and self.target is None:
+            raise ValueError("validate needs a drawn mapping's target schema")
         self.workers = workers
         self.cache = cache if cache is not None else default_cache()
         self.validate = validate
-        self.chunksize = chunksize
         self.error_policy = ErrorPolicy.coerce(error_policy)
         self.retry = retry if retry is not None else RetryPolicy(
             max_retries=max_retries, backoff=backoff, timeout=timeout
         )
         self.injector = injector
         self.trace = trace
-        from ..executor.planner import resolve_optimize
-        from .plan import resolve_effective_exec_mode
-
-        self.optimize = resolve_optimize(optimize)
-        self.exec_mode = resolve_effective_exec_mode(
-            engine, self.optimize, exec_mode
-        )
         # One fingerprint per runner: per-document retrievals are then
         # pure dictionary hits.  A long-lived caller (the HTTP service)
         # that already fingerprinted the mapping at registration passes
         # it in, keeping per-request runner construction free of the
         # serialize-and-hash cost.
         self.fingerprint = (
-            fingerprint
-            if fingerprint is not None
-            else compute_fingerprint(
-                mapping, engine, optimize=self.optimize,
-                exec_mode=self.exec_mode,
-            )
+            fingerprint if fingerprint is not None
+            else self.spec.fingerprint(mapping)
         )
 
     # -- execution ---------------------------------------------------------
@@ -466,7 +453,7 @@ class BatchRunner:
         wall_started = time.perf_counter()
         stats_before = self.cache.stats
         metrics = BatchMetrics(
-            engine=self.engine,
+            engine=self.spec.engine,
             workers=self.workers,
             error_policy=self.error_policy.value,
         )
@@ -483,9 +470,14 @@ class BatchRunner:
             if not tracer.seed:
                 # The optimize-independent base fingerprint: span ids
                 # agree across evaluation strategies by construction.
-                tracer.seed = trace_seed(self.mapping, self.engine)
+                # A composition has no drawing to derive it from; its
+                # compose fingerprint is as stable.
+                tracer.seed = (
+                    self.fingerprint if isinstance(self.mapping, NestedTgd)
+                    else trace_seed(self.mapping, self.spec.engine)
+                )
             if not tracer.engine:
-                tracer.engine = self.engine
+                tracer.engine = self.spec.engine
             tracer.meta.setdefault("workers", self.workers)
             owns_trace = not tracer.active
             batch_span = tracer.begin("batch", policy=self.error_policy.value)
@@ -532,8 +524,8 @@ class BatchRunner:
 
     def _retrieve_plan(self):
         return self.cache.get_or_compile(
-            self.mapping, self.engine, fp=self.fingerprint,
-            optimize=self.optimize, exec_mode=self.exec_mode,
+            self.mapping, self.spec.engine, fp=self.fingerprint,
+            optimize=self.spec.optimize, exec_mode=self.spec.exec_mode,
         )
 
     def _account(
@@ -549,7 +541,7 @@ class BatchRunner:
         metrics.target_elements += result.size()
         if self.validate:
             metrics.validation_violations += len(
-                validate_instance(result, self.mapping.target)
+                validate_instance(result, self.target)
             )
 
     def _settle_failure(
@@ -696,9 +688,8 @@ class BatchRunner:
                 max_workers=self.workers,
                 mp_context=ctx,
                 initializer=_init_worker,
-                initargs=(payload, self.engine, injector_bytes,
-                          self.retry.timeout, self.optimize,
-                          span_log is not None, self.exec_mode,
+                initargs=(payload, self.spec, injector_bytes,
+                          self.retry.timeout, span_log is not None,
                           codegen_source),
             )
 

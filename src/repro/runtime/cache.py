@@ -1,19 +1,11 @@
-"""The compiled-plan cache: one compile per ``(mapping, engine)``.
+"""The compiled-plan cache: one compile per ``(mapping, ExecSpec)``.
 
 A serving loop retrieves the plan for every document it applies; the
 cache turns all but the first retrieval into a dictionary hit.  Keys
 are the structural fingerprints of :func:`repro.runtime.plan.fingerprint`,
 so the cache sees through object identity — the same mapping document
 loaded twice compiles once — while any structural edit compiles fresh.
-
-With *canonicalization* enabled (``PlanCache(canonicalize=True)`` or
-the ``CLIP_CACHE_CANONICALIZE`` environment flag), keys are the
-semantic fingerprints of :func:`repro.runtime.plan.canonical_fingerprint`
-instead: mappings that differ only by bound-variable renaming or
-``where``-conjunct order — which provably produce byte-identical
-output — share one compiled plan.  The ``canonical_hits`` /
-``canonical_misses`` counters report how often the canonical key paid
-off, separately from the raw hit/miss totals.
+Composed mappings key on their :func:`repro.algebra.compose_fingerprint`.
 
 The cache is thread-safe (one lock around the table and counters) and
 bounded: least-recently-used plans are evicted beyond ``maxsize``.
@@ -23,43 +15,14 @@ evictions, and the seconds spent compiling on misses.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from ..core.mapping import ClipMapping
-from .plan import CompiledPlan, canonical_fingerprint, compile_plan, fingerprint
-
-#: Environment flag turning canonical cache keys on by default.
-CANONICALIZE_ENV = "CLIP_CACHE_CANONICALIZE"
-
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
-
-
-def resolve_canonicalize(value: Optional[bool] = None) -> bool:
-    """Resolve a canonicalization request against the environment.
-
-    ``True``/``False`` win outright; ``None`` defers to
-    ``CLIP_CACHE_CANONICALIZE`` (default: off, preserving the
-    structural-fingerprint behaviour existing deployments key on).
-    """
-    if value is not None:
-        return bool(value)
-    raw = os.environ.get(CANONICALIZE_ENV)
-    if raw is None:
-        return False
-    lowered = raw.strip().lower()
-    if lowered in _TRUTHY:
-        return True
-    if lowered in _FALSY or lowered == "":
-        return False
-    raise ValueError(
-        f"unrecognized {CANONICALIZE_ENV}={raw!r}; use one of "
-        f"{_TRUTHY + _FALSY}"
-    )
+from ..core.tgd import NestedTgd
+from .plan import CompiledPlan, compile_plan, fingerprint
 
 
 @dataclass
@@ -70,20 +33,10 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     compile_seconds: float = 0.0
-    #: Lookups resolved through a *canonical* key (only counted when
-    #: the cache canonicalizes): a canonical hit on a structurally new
-    #: mapping is exactly one compile saved by the algebra.
-    canonical_hits: int = 0
-    canonical_misses: int = 0
 
     def snapshot(self) -> "CacheStats":
         return CacheStats(
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.compile_seconds,
-            self.canonical_hits,
-            self.canonical_misses,
+            self.hits, self.misses, self.evictions, self.compile_seconds
         )
 
     def to_dict(self) -> dict:
@@ -92,21 +45,16 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "compile_seconds": self.compile_seconds,
-            "canonical_hits": self.canonical_hits,
-            "canonical_misses": self.canonical_misses,
         }
 
 
 class PlanCache:
     """An LRU cache of :class:`CompiledPlan` keyed by fingerprint."""
 
-    def __init__(self, maxsize: int = 128, *, canonicalize: Optional[bool] = None):
+    def __init__(self, maxsize: int = 128):
         if maxsize < 1:
             raise ValueError("maxsize must be a positive integer")
         self.maxsize = maxsize
-        #: Whether :meth:`get_or_compile` keys plans by canonical
-        #: (semantic) fingerprints instead of structural ones.
-        self.canonicalize = resolve_canonicalize(canonicalize)
         self._plans: OrderedDict[str, CompiledPlan] = OrderedDict()
         self._lock = threading.Lock()
         self._stats = CacheStats()
@@ -128,22 +76,6 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
-
-    def fingerprint_for(
-        self,
-        mapping: ClipMapping,
-        engine: str = "tgd",
-        *,
-        optimize: Optional[bool] = None,
-        exec_mode: Optional[str] = None,
-    ) -> str:
-        """The key this cache would use for a mapping: canonical when
-        the cache canonicalizes, structural otherwise."""
-        if self.canonicalize:
-            return canonical_fingerprint(
-                mapping, engine, optimize=optimize, exec_mode=exec_mode
-            )
-        return fingerprint(mapping, engine, optimize=optimize, exec_mode=exec_mode)
 
     def put(self, plan: CompiledPlan) -> None:
         """Seed the cache with an externally compiled plan (e.g. a
@@ -179,55 +111,31 @@ class PlanCache:
             self._stats.hits += 1
             return plan
 
-    def _count_canonical(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self._stats.canonical_hits += 1
-            else:
-                self._stats.canonical_misses += 1
-
     def get_or_compile(
         self,
-        mapping: ClipMapping,
+        mapping: Union[ClipMapping, NestedTgd],
         engine: str = "tgd",
         *,
         require_valid: bool = True,
         fp: Optional[str] = None,
         optimize: Optional[bool] = None,
         exec_mode: Optional[str] = None,
-        count_canonical: Optional[bool] = None,
     ) -> CompiledPlan:
         """The plan for ``(mapping, engine, optimize, exec_mode)``,
         compiling on first use.
 
         Callers applying one mapping to many documents should compute
-        the key once via :meth:`fingerprint_for` and pass it in: the
-        per-document retrieval is then a pure dictionary hit.  The
-        fingerprint covers the ``optimize`` flag and the execution
-        mode, so optimized, naive, and codegen plans for the same
-        mapping coexist without collisions.
-
-        When the cache canonicalizes and no ``fp`` is supplied, the key
-        is the canonical fingerprint: an alpha-renamed variant of an
-        already-compiled mapping is served the existing plan (sound —
-        such variants produce byte-identical output) and counted as a
-        canonical hit.  A caller that computed the canonical key itself
-        via :meth:`fingerprint_for` (the service's registration path)
-        passes ``count_canonical=True`` to opt into the same counting;
-        per-document retrievals leave it unset so serving traffic never
-        inflates the compiles-saved metric.
+        the key once via :func:`repro.runtime.plan.fingerprint` and
+        pass it in: the per-document retrieval is then a pure
+        dictionary hit.  The fingerprint covers the resolved
+        :class:`~repro.runtime.plan.ExecSpec`, so optimized, naive, and
+        codegen plans for the same mapping coexist without collisions.
+        A composed mapping (a fused :class:`NestedTgd`) must come with
+        its ``fp``.
         """
-        if count_canonical is None:
-            canonical_key = fp is None and self.canonicalize
-        else:
-            canonical_key = count_canonical and self.canonicalize
         if fp is None:
-            fp = self.fingerprint_for(
-                mapping, engine, optimize=optimize, exec_mode=exec_mode
-            )
+            fp = fingerprint(mapping, engine, optimize=optimize, exec_mode=exec_mode)
         plan = self.lookup(fp)
-        if canonical_key:
-            self._count_canonical(plan is not None)
         if plan is not None:
             return plan
         # Compile outside the lock: deterministic, so a concurrent
@@ -236,13 +144,7 @@ class PlanCache:
             mapping, engine, require_valid=require_valid, fp=fp,
             optimize=optimize, exec_mode=exec_mode,
         )
-        with self._lock:
-            self._stats.compile_seconds += plan.compile_seconds
-            self._plans[fp] = plan
-            self._plans.move_to_end(fp)
-            while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
-                self._stats.evictions += 1
+        self.put(plan)
         return plan
 
 

@@ -26,8 +26,6 @@ Metric names::
     clip_service_mappings_registered               gauge
     clip_service_plan_cache_hits_total             counter
     clip_service_plan_cache_misses_total           counter
-    clip_service_plan_cache_canonical_hits_total   counter
-    clip_service_plan_cache_canonical_misses_total counter
     clip_service_plan_cache_evictions_total        counter
     clip_service_plan_cache_size                   gauge
     clip_service_plan_compile_seconds_total        counter (seconds)
@@ -219,13 +217,6 @@ class ServiceMetrics:
              "Plan-cache hits (cumulative).", cache_stats.hits),
             ("clip_service_plan_cache_misses_total", "counter",
              "Plan-cache misses (cumulative).", cache_stats.misses),
-            ("clip_service_plan_cache_canonical_hits_total", "counter",
-             "Lookups resolved through a canonical cache key"
-             " (compiles saved by the mapping algebra).",
-             cache_stats.canonical_hits),
-            ("clip_service_plan_cache_canonical_misses_total", "counter",
-             "Canonical-key lookups that still had to compile.",
-             cache_stats.canonical_misses),
             ("clip_service_plan_cache_evictions_total", "counter",
              "Plans evicted from the cache (cumulative).",
              cache_stats.evictions),

@@ -240,7 +240,9 @@ class TestBatchRunner:
 
 
 class TestCanonicalizedKeys:
-    """Canonical cache keys: alpha-renamed mappings share one plan."""
+    """Cache keys are structural: an alpha-renamed variant of a mapping
+    is a different drawing and compiles its own plan, although the
+    algebra's canonical normal form sees the two as one."""
 
     @staticmethod
     def _fig3_renamed():
@@ -254,51 +256,6 @@ class TestCanonicalizedKeys:
         clip.value("dept/regEmp/ename/value", "department/employee/@name")
         return clip
 
-    def test_structural_fingerprints_differ_canonical_agree(self):
-        from repro.runtime import canonical_fingerprint
-
-        original = deptstore.mapping_fig3()
-        renamed = self._fig3_renamed()
-        assert fingerprint(original) != fingerprint(renamed)
-        assert canonical_fingerprint(original) == canonical_fingerprint(
-            renamed
-        )
-
-    def test_fingerprint_for_follows_the_canonicalize_flag(self):
-        plain = PlanCache()
-        canonical = PlanCache(canonicalize=True)
-        original = deptstore.mapping_fig3()
-        renamed = self._fig3_renamed()
-        assert plain.fingerprint_for(original) != plain.fingerprint_for(
-            renamed
-        )
-        assert canonical.fingerprint_for(
-            original
-        ) == canonical.fingerprint_for(renamed)
-
-    def test_renamed_variant_compiles_once_and_counts_canonical_hit(self):
-        cache = PlanCache(canonicalize=True)
-        first = cache.get_or_compile(deptstore.mapping_fig3())
-        second = cache.get_or_compile(self._fig3_renamed())
-        assert first is second, "alpha-renamed variant recompiled"
-        stats = cache.stats
-        assert stats.misses == 1
-        assert stats.hits == 1
-        assert stats.canonical_misses == 1
-        assert stats.canonical_hits == 1
-
-    def test_renamed_variants_share_byte_identical_output(self):
-        """Soundness of the shared plan: the variant's own compile and
-        the canonically shared plan serialize identically."""
-        from repro.xml.serialize import to_xml
-
-        instance = deptstore.source_instance()
-        shared = PlanCache(canonicalize=True)
-        shared.get_or_compile(deptstore.mapping_fig3())
-        via_shared = shared.get_or_compile(self._fig3_renamed())(instance)
-        own = PlanCache().get_or_compile(self._fig3_renamed())(instance)
-        assert to_xml(via_shared) == to_xml(own)
-
     def test_structural_cache_keeps_variants_apart(self):
         cache = PlanCache()
         first = cache.get_or_compile(deptstore.mapping_fig3())
@@ -306,27 +263,26 @@ class TestCanonicalizedKeys:
         assert first is not second
         stats = cache.stats
         assert stats.misses == 2
-        assert stats.canonical_hits == stats.canonical_misses == 0
 
-    def test_explicit_fp_skips_canonical_counting_by_default(self):
-        cache = PlanCache(canonicalize=True)
-        mapping = deptstore.mapping_fig3()
-        fp = cache.fingerprint_for(mapping)
-        cache.get_or_compile(mapping, fp=fp)
-        cache.get_or_compile(mapping, fp=fp)
-        stats = cache.stats
-        assert stats.canonical_hits == stats.canonical_misses == 0
-        # ...and opts in when the caller says the key is canonical.
-        cache.get_or_compile(mapping, fp=fp, count_canonical=True)
-        assert cache.stats.canonical_hits == 1
+    def test_structural_fingerprints_differ_canonical_agree(self):
+        from repro.algebra import canonical_render
+        from repro.core.compile import compile_clip
+
+        original = deptstore.mapping_fig3()
+        renamed = self._fig3_renamed()
+        assert fingerprint(original) != fingerprint(renamed)
+        assert canonical_render(compile_clip(original)) == canonical_render(
+            compile_clip(renamed)
+        )
 
     def test_where_conjunct_order_is_canonicalized(self):
         """The normal form sorts where-conjuncts: mappings differing
-        only in filter-condition order share a canonical key."""
+        only in filter-condition order share a canonical rendering."""
+        from repro.algebra import canonical_render
+        from repro.core.compile import compile_clip
         from repro.core.mapping import ClipMapping
-        from repro.runtime import canonical_fingerprint
         from repro.xsd.dsl import attr, elem, schema
-        from repro.xsd.types import INT, STRING
+        from repro.xsd.types import INT
 
         src = schema(elem(
             "S", elem("row", "[0..*]", attr("a", INT), attr("b", INT)),
@@ -343,20 +299,7 @@ class TestCanonicalizedKeys:
 
         one = make("$r.@a > 1 and $r.@b > 2")
         other = make("$r.@b > 2 and $r.@a > 1")
-        assert canonical_fingerprint(one) == canonical_fingerprint(other)
-
-    def test_environment_flag_resolution(self, monkeypatch):
-        from repro.runtime.cache import CANONICALIZE_ENV, resolve_canonicalize
-
-        monkeypatch.delenv(CANONICALIZE_ENV, raising=False)
-        assert resolve_canonicalize() is False
-        assert resolve_canonicalize(True) is True
-        monkeypatch.setenv(CANONICALIZE_ENV, "1")
-        assert resolve_canonicalize() is True
-        assert resolve_canonicalize(False) is False
-        assert PlanCache(canonicalize=None).canonicalize is True
-        monkeypatch.setenv(CANONICALIZE_ENV, "off")
-        assert resolve_canonicalize() is False
-        monkeypatch.setenv(CANONICALIZE_ENV, "sideways")
-        with pytest.raises(ValueError):
-            resolve_canonicalize()
+        assert fingerprint(one) != fingerprint(other)
+        assert canonical_render(compile_clip(one)) == canonical_render(
+            compile_clip(other)
+        )
