@@ -37,7 +37,7 @@ from repro.executor.planner import plan_tgd
 from repro.generation import AXES
 from repro.generation.corpus import generate_corpus
 from repro.runtime import BatchRunner, PlanCache
-from repro.runtime.plan import fingerprint, resolve_effective_exec_mode, trace_seed
+from repro.runtime.plan import ExecSpec, fingerprint, trace_seed
 from repro.scenarios import deptstore
 from repro.xml.serialize import to_xml
 
@@ -185,10 +185,10 @@ def test_resolve_exec_mode_flag_env_default(monkeypatch):
 
 
 def test_effective_mode_requires_optimized_tgd():
-    assert resolve_effective_exec_mode("tgd", True, "codegen") == "codegen"
-    assert resolve_effective_exec_mode("tgd", False, "codegen") == "interp"
-    assert resolve_effective_exec_mode("xquery", True, "codegen") == "interp"
-    assert resolve_effective_exec_mode("xslt", True, "codegen") == "interp"
+    assert ExecSpec("tgd", True, "codegen").exec_mode == "codegen"
+    assert ExecSpec("tgd", False, "codegen").exec_mode == "interp"
+    assert ExecSpec("xquery", True, "codegen").exec_mode == "interp"
+    assert ExecSpec("xslt", True, "codegen").exec_mode == "interp"
 
 
 def test_fingerprint_separates_exec_modes():
