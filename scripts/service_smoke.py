@@ -15,9 +15,10 @@ the outside:
     request: the incremental response must be byte-identical to a full
     transform of the edited document;
 5.  register an A→B and a B→C mapping, ``POST /mappings/compose``
-    them, and transform through the composed fingerprint: the response
-    must be byte-identical to what ``python -m repro run --compose``
-    writes;
+    them, and transform through the composed fingerprint — one document,
+    a batch of the source and an edited copy, and a delta edit chained
+    off the single transform: every result must be byte-identical to
+    what ``python -m repro run --compose`` writes for its document;
 6.  ``GET /health`` and ``GET /metrics`` (expect 200; the metrics text
     must show the plan-cache hit from step 1, the latency histogram
     buckets, and the incremental hit/fallback counters) — through real
@@ -166,6 +167,14 @@ def compose_chain() -> tuple[ClipMapping, ClipMapping, str]:
     return m_ab, m_bc, source
 
 
+def edit_compose_source(source: str) -> str:
+    """The A source with Bob's salary raised past the B→C filter, so
+    the edit changes the composed output."""
+    edited = source.replace("<sal>900</sal>", "<sal>1900</sal>")
+    assert edited != source
+    return edited
+
+
 def cli_run_compose(tmp: Path, m_ab: ClipMapping, m_bc: ClipMapping,
                     source: str) -> bytes:
     """The composed byte-identity reference: ``run --compose``."""
@@ -296,15 +305,51 @@ def main() -> int:
         check("compose A→B with B→C", status == 201,
               f"{status} {body[:120]!r}")
         composed_fp = json.loads(body).get("fingerprint", "")
+        compose_edited = edit_compose_source(compose_source)
         with tempfile.TemporaryDirectory() as tmp:
             expected = cli_run_compose(Path(tmp), m_ab, m_bc, compose_source)
-        status, body = http(
+            expected_edited = cli_run_compose(
+                Path(tmp), m_ab, m_bc, compose_edited
+            )
+        status, headers, body = http_full(
             "POST", f"{base}/transform?mapping={composed_fp}",
             compose_source.encode("utf-8"),
         )
         check("composed transform == CLI run --compose output",
               status == 200 and body == expected,
               f"{status}, {len(body)} vs {len(expected)} bytes")
+        composed_request = headers.get("X-Clip-Request", "")
+
+        status, body = http(
+            "POST", f"{base}/transform/batch",
+            json.dumps({
+                "mapping": composed_fp,
+                "documents": [compose_source, compose_edited],
+            }).encode("utf-8"),
+            content_type="application/json",
+        )
+        doc = json.loads(body) if status == 200 else {}
+        results = [entry["xml"].encode("utf-8")
+                   for entry in doc.get("results", [])]
+        check("composed batch == CLI run --compose output per document",
+              status == 200 and results == [expected, expected_edited],
+              f"{status} {body[:160]!r}")
+
+        status, headers, body = http_full(
+            "POST", f"{base}/transform/delta",
+            json.dumps({
+                "request": composed_request,
+                "document": compose_edited,
+            }).encode("utf-8"),
+            content_type="application/json",
+        )
+        check("composed delta == CLI run --compose of the edited source",
+              status == 200
+              and body == expected_edited
+              and headers.get("X-Clip-Incremental", "")
+              in ("unchanged", "scoped", "fallback"),
+              f"{status}, {len(body)} vs {len(expected_edited)} bytes, "
+              f"mode={headers.get('X-Clip-Incremental')!r}")
 
         status, body = curl_get(f"{base}/health")
         check("GET /health", status == 200

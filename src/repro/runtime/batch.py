@@ -71,73 +71,70 @@ Task = tuple
 Record = tuple
 
 
-def _apply_plan(
-    plan: Callable[[XmlElement], XmlElement],
-    doc: XmlElement,
-    index: int,
-    attempt: int,
-    injector: Optional[FaultInjector],
-    timeout: Optional[float],
-    trace=None,
-) -> XmlElement:
-    """One attempt at one document: injected faults, timeout, plan."""
-
-    def call() -> XmlElement:
-        if injector is not None:
-            injector.fire(index, attempt)
-        if trace is None:
-            return plan(doc)
-        return plan.run(doc, trace=trace)
-
-    return call_with_timeout(call, timeout)
-
-
-def _traced_attempt(
+def _attempt(
     plan,
     doc: XmlElement,
     index: int,
     attempt: int,
     injector: Optional[FaultInjector],
     timeout: Optional[float],
-) -> Record:
-    """One traced attempt, in-process or in a worker.
+    traced: bool,
+) -> tuple[Record, Optional[BaseException]]:
+    """One attempt at one document, in-process or in a worker; never
+    raises.
 
-    Builds an ``attempt[k]`` span around the evaluation (an ``error``
-    span on failure, carrying the :class:`DocumentFailure` triage) and
-    returns the usual record shape with the serialized span payload
-    appended — the parent grafts it under the right ``doc[i]`` span,
-    so worker counts never change the canonical tree.
+    Fires the injected faults, then runs the plan under ``timeout``.
+    Returns the :data:`Record` and, on failure, the exception itself:
+    the record's :class:`DocumentFailure` is what crosses the pool, the
+    exception stays in-process (fail_fast chains it as the cause).
 
-    When a per-document ``timeout`` is set the engine-internal spans
-    are skipped: an abandoned timeout thread keeps running and could
-    race the scratch tracer; the attempt span itself (status, timing,
+    A ``traced`` attempt builds an ``attempt[k]`` span around the
+    evaluation (an ``error`` span on failure, carrying the
+    :class:`DocumentFailure` triage) and appends its serialized payload
+    to the record — the parent grafts it under the right ``doc[i]``
+    span, so worker counts never change the canonical tree.  When a
+    per-document ``timeout`` is set the engine-internal spans are
+    skipped: an abandoned timeout thread keeps running and could race
+    the scratch tracer; the attempt span itself (status, timing,
     timed-out triage) is still recorded.
     """
-    from .trace import SpanTracer
+    scratch = span = None
+    if traced:
+        from .trace import SpanTracer
 
-    scratch = SpanTracer()
-    span = scratch.begin(f"attempt[{attempt}]")
+        scratch = SpanTracer()
+        span = scratch.begin(f"attempt[{attempt}]")
+    engine_trace = scratch if timeout is None else None
+
+    def call() -> XmlElement:
+        if injector is not None:
+            injector.fire(index, attempt)
+        if engine_trace is None:
+            return plan(doc)
+        return plan.run(doc, trace=engine_trace)
+
     started = time.perf_counter()
+    cause: Optional[BaseException] = None
     try:
-        result = _apply_plan(
-            plan, doc, index, attempt, injector, timeout,
-            trace=scratch if timeout is None else None,
-        )
+        kind, value = "ok", call_with_timeout(call, timeout)
     except Exception as exc:
-        failure = DocumentFailure.from_exception(
+        cause = exc
+        kind, value = "err", DocumentFailure.from_exception(
             index, exc, attempts=attempt + 1
         )
-        span.kind = "error"
-        scratch.end(
-            span, status="error", error=failure.error,
-            message=failure.message, transient=failure.transient,
-            timed_out=failure.timed_out,
-        )
-        return ("err", index, attempt, failure,
-                time.perf_counter() - started, span.to_payload())
-    scratch.end(span, status="ok")
-    return ("ok", index, attempt, result,
-            time.perf_counter() - started, span.to_payload())
+    record: Record = (kind, index, attempt, value, time.perf_counter() - started)
+    if span is not None:
+        if cause is None:
+            scratch.end(span, status="ok")
+        else:
+            span.kind = "error"
+            scratch.end(
+                span, status="error", error=value.error,
+                message=value.message, transient=value.transient,
+                timed_out=value.timed_out,
+            )
+        record += (span.to_payload(),)
+    return record, cause
 
 
 # -- worker-process side ----------------------------------------------------
@@ -184,21 +181,11 @@ def _run_task(task: Task) -> Record:
     """
     index, attempt, doc = task
     assert _WORKER_PLAN is not None, "worker initializer did not run"
-    if _WORKER_TRACE:
-        return _traced_attempt(
-            _WORKER_PLAN, doc, index, attempt, _WORKER_INJECTOR, _WORKER_TIMEOUT
-        )
-    started = time.perf_counter()
-    try:
-        result = _apply_plan(
-            _WORKER_PLAN, doc, index, attempt, _WORKER_INJECTOR, _WORKER_TIMEOUT
-        )
-    except Exception as exc:
-        failure = DocumentFailure.from_exception(
-            index, exc, attempts=attempt + 1
-        )
-        return ("err", index, attempt, failure, time.perf_counter() - started)
-    return ("ok", index, attempt, result, time.perf_counter() - started)
+    record, _cause = _attempt(
+        _WORKER_PLAN, doc, index, attempt, _WORKER_INJECTOR, _WORKER_TIMEOUT,
+        _WORKER_TRACE,
+    )
+    return record
 
 
 # -- parent side ------------------------------------------------------------
@@ -303,7 +290,7 @@ def _attach_doc_spans(tracer, span_log: dict) -> None:
 
     Documents are emitted in input order and attempts in attempt order,
     whatever order the pool completed them in — this, plus the
-    payloads being built by the same :func:`_traced_attempt` on both
+    payloads being built by the same :func:`_attempt` on both
     paths, is what makes the canonical trace worker-count-independent.
     Each doc span is widened to cover its (re-based) attempts so the
     Chrome rendering nests sensibly.
@@ -585,61 +572,17 @@ class BatchRunner:
                 # The cached plan accumulates counters across runs;
                 # snapshot now so the report shows this run's deltas.
                 counters_before = stats.snapshot() if stats else None
-            attempt = 0
-            while True:
-                payload = None
-                cause: Optional[BaseException] = None
-                if span_log is not None:
-                    record = _traced_attempt(
-                        plan, doc, index, attempt, self.injector, timeout
-                    )
-                    kind, value, seconds, payload = (
-                        record[0], record[3], record[4], record[5]
-                    )
-                    span_log.setdefault(index, {})[attempt] = payload
-                else:
-                    started = time.perf_counter()
-                    try:
-                        value = _apply_plan(
-                            plan, doc, index, attempt, self.injector, timeout
-                        )
-                        kind = "ok"
-                    except Exception as exc:
-                        kind = "err"
-                        cause = exc
-                        value = DocumentFailure.from_exception(
-                            index, exc, attempts=attempt + 1
-                        )
-                    seconds = time.perf_counter() - started
-                if kind == "ok":
-                    self._account(metrics, doc, value, seconds)
-                    results[index] = value
-                    break
-                failure = value
-                if failure.timed_out:
-                    metrics.timeouts += 1
-                if self.retry.should_retry(attempt + 1, failure.transient):
-                    metrics.retries += 1
-                    if payload is not None:
-                        payload["attrs"]["retried"] = True
-                    delay = self.retry.delay(attempt + 1)
-                    if delay:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
-                if payload is not None:
-                    payload["attrs"]["terminal"] = True
-                    if self.error_policy is ErrorPolicy.COLLECT:
-                        payload["children"].append(
-                            event_payload(
-                                "dead-letter", at=payload["t1"],
-                                error=failure.error,
-                            )
-                        )
-                self._settle_failure(
-                    failure, doc, metrics, failures, dead_letters, cause=cause
+            to_submit: deque = deque([(index, 0)])
+            while to_submit:
+                _, attempt = to_submit.popleft()
+                record, cause = _attempt(
+                    plan, doc, index, attempt, self.injector, timeout,
+                    span_log is not None,
                 )
-                break
+                self._handle_record(
+                    record, doc, metrics, results, failures, dead_letters,
+                    to_submit, span_log, cause,
+                )
         if first_plan is not None:
             report = first_plan.plan_report()
             if report is not None:
@@ -730,7 +673,7 @@ class BatchRunner:
                         if error is not None:
                             raise error
                         self._handle_record(
-                            future.result(), docs, metrics, results,
+                            future.result(), docs[index], metrics, results,
                             failures, dead_letters, to_submit, span_log,
                         )
                 if crashed:
@@ -755,22 +698,28 @@ class BatchRunner:
     def _handle_record(
         self,
         record: Record,
-        docs: list[XmlElement],
+        doc: XmlElement,
         metrics: BatchMetrics,
         results: dict[int, XmlElement],
         failures: dict[int, DocumentFailure],
         dead_letters: list[DeadLetter],
         to_submit: deque,
         span_log: Optional[dict] = None,
+        cause: Optional[BaseException] = None,
     ) -> None:
+        """Settle one attempt's record, from either path: keep a
+        success, schedule a retry onto ``to_submit``, or apply the
+        error policy to a terminal failure (``cause`` is the in-process
+        exception fail_fast chains, when there is one)."""
         kind, index, attempt, value, seconds = record[:5]
         payload = record[5] if len(record) > 5 else None
         if payload is not None and span_log is not None:
-            # Re-base the worker's clock so the subtree ends when the
-            # record arrived (durations preserved; canonical output
-            # ignores timestamps either way), then keep the *first*
-            # payload per (document, attempt) — crash replays can
-            # duplicate one, and first-wins matches the result dedup.
+            # Re-base the attempt's clock (a worker's is its own) so
+            # the subtree ends when the record arrived (durations
+            # preserved; canonical output ignores timestamps either
+            # way), then keep the *first* payload per (document,
+            # attempt) — crash replays can duplicate one, and
+            # first-wins matches the result dedup.
             shift_payload(payload, time.perf_counter() - payload["t1"])
             attempts = span_log.setdefault(index, {})
             if attempt in attempts:
@@ -783,7 +732,7 @@ class BatchRunner:
             # first result.
             if index not in results:
                 results[index] = value
-                self._account(metrics, docs[index], value, seconds)
+                self._account(metrics, doc, value, seconds)
             return
         failure = value
         failure.attempts = attempt + 1
@@ -808,5 +757,5 @@ class BatchRunner:
                     )
                 )
         self._settle_failure(
-            failure, docs[index], metrics, failures, dead_letters
+            failure, doc, metrics, failures, dead_letters, cause=cause
         )

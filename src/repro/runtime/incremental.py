@@ -2,26 +2,30 @@
 
 Mapping services re-transform documents a user just edited; re-running
 the full plan discards everything the previous run already computed.
-:func:`transform_delta` is the view-maintenance entry point: given a
-compiled plan, the previous source/target pair, and a machine
-:class:`~repro.xml.diff.Delta`, it produces the new target by reusing
-the previous one wherever the delta provably cannot reach.
+Two entry points take the previous source/target pair and a machine
+:class:`~repro.xml.diff.Delta` and produce the new target by reusing
+the previous one wherever the delta provably cannot reach:
+:func:`transform_delta`, stateless, with the pair as inputs; and
+:class:`IncrementalSession`, which maintains the pair across a chain of
+edits.  Both decide with one check cascade and splice with one
+implementation, the session's: :func:`transform_delta` runs its scoped
+branch in a one-shot session over copies of its inputs.
 
 Three outcomes, reported in the returned :class:`IncrementalReport`:
 
 ``unchanged``
     No compiled level's source read-set intersects the delta — the
-    previous target is correct as-is and is returned as a copy.
+    previous target is correct as-is.
 
 ``scoped``
     The root mapping's iteration is partitioned into *units* — one per
     top-level environment, or one per grouping key when the root level
     carries a grouping Skolem.  Units whose source bindings lie outside
-    every changed subtree keep their previous target fragment (a deep
-    copy); dirty units re-execute through the ordinary engine machinery
-    over the new document's index tables.  Fragments are emitted in the
-    new document's enumeration order, so the result is byte-identical
-    to a full recompute.
+    every changed subtree keep their previous target fragment; dirty
+    units re-execute through the ordinary engine machinery over the new
+    document's index tables.  Fragments are emitted in the new
+    document's enumeration order, so the result is byte-identical to a
+    full recompute.
 
 ``fallback``
     Full recomputation — taken when the delta ratio exceeds the
@@ -43,7 +47,7 @@ cause a fallback when the delta reaches the paths they read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional
 
 from ..errors import ReproError, XmlError
 from ..core.tgd import (
@@ -73,7 +77,7 @@ from ..xml.index import index_for
 from ..xml.model import XmlElement
 
 #: Above this changed-nodes / source-size ratio the scoped path cannot
-#: win and :func:`transform_delta` recomputes from scratch.
+#: win and the incremental entry points recompute from scratch.
 DEFAULT_THRESHOLD = 0.25
 
 _Chain = tuple[str, ...]
@@ -81,7 +85,7 @@ _Chain = tuple[str, ...]
 
 @dataclass
 class IncrementalReport:
-    """How one :func:`transform_delta` call produced its target."""
+    """How one incremental call produced its target."""
 
     mode: str  # "unchanged" | "scoped" | "fallback"
     reason: str = ""
@@ -608,13 +612,13 @@ class _Signer:
 def _make_engine(
     tgd_plan: TgdPlan,
     source: XmlElement,
-    shared_memo: Optional[PlanMemo] = None,
+    shared_memo: Optional[PlanMemo],
 ) -> _Engine:
     """An engine over ``source`` with the plan's strategy (optimized
     when the plan compiled level plans, naive otherwise) — but without
     the plan's cumulative counters, which a partial run would skew.
-    ``shared_memo`` lets a session carry document-scoped sequences and
-    join tables across engines."""
+    ``shared_memo`` carries document-scoped sequences and join tables
+    across a session's engines."""
     if tgd_plan.planned is not None:
         return _OptimizedEngine(
             tgd_plan.tgd,
@@ -643,7 +647,68 @@ def _group_members(gens, members: list[dict]) -> dict:
     return group_env
 
 
-# -- entry point -------------------------------------------------------------
+# -- the check cascade -------------------------------------------------------
+
+
+def _tgd_plan_of(plan) -> Optional[TgdPlan]:
+    return plan if isinstance(plan, TgdPlan) else getattr(plan, "tgd_plan", None)
+
+
+def _cascade(
+    report: IncrementalReport,
+    delta: Delta,
+    tgd_plan: Optional[TgdPlan],
+    analyze: Callable[[NestedTgd], tuple[Optional[_Shape], str]],
+    prev_target: XmlElement,
+) -> bool:
+    """Decide how one delta is served, for both entry points.
+
+    Returns ``True`` when the scoped splice should run.  Otherwise
+    ``report`` says ``unchanged`` (the previous target stands) or
+    ``fallback`` (recompute in full), and why.  The checks run
+    cheapest first; the mapping's shape is only asked for
+    (``analyze``) once the delta reaches a level's reads.
+    """
+
+    def settle(mode: str, reason: str) -> bool:
+        report.mode = mode
+        report.reason = reason
+        return False
+
+    if delta.truncated:
+        return settle("fallback", "truncated delta")
+    if tgd_plan is None:
+        return settle("fallback", "plan has no tgd execution plan")
+    if delta.is_empty:
+        return settle("unchanged", "empty delta")
+    if report.delta_ratio > report.threshold:
+        return settle(
+            "fallback",
+            f"delta ratio {report.delta_ratio:.3f} exceeds "
+            f"threshold {report.threshold:.3f}",
+        )
+    if tgd_plan.planned is not None:
+        report.dirty_levels = tuple(
+            index
+            for index, level in enumerate(tgd_plan.planned.levels)
+            if _delta_touches(delta, level.read_paths, level.reads_resolved)
+        )
+        if not report.dirty_levels:
+            return settle("unchanged", "no level read-set intersects the delta")
+    shape, reason = analyze(tgd_plan.tgd)
+    if shape is None:
+        return settle("fallback", f"unsupported mapping shape: {reason}")
+    report.grouped = shape.grouped
+    if _delta_touches(delta, shape.global_reads, shape.global_resolved):
+        return settle(
+            "fallback", "delta intersects document-scoped reads of nested levels"
+        )
+    if prev_target.tag != tgd_plan.tgd.target_root:
+        return settle("fallback", "previous target root does not match the plan")
+    return True
+
+
+# -- entry points ------------------------------------------------------------
 
 
 def transform_delta(
@@ -660,210 +725,48 @@ def transform_delta(
     ``plan`` is a :class:`~repro.executor.engine.TgdPlan` or a
     :class:`~repro.runtime.plan.CompiledPlan`; ``delta`` must be
     ``compute_delta(prev_source, new_source)``.  When ``new_source`` is
-    omitted it is reconstructed with :func:`apply_delta`.  The result
-    is byte-identical to ``plan.run(new_source)`` in every mode.
-    """
-    tgd_plan: Optional[TgdPlan] = (
-        plan if isinstance(plan, TgdPlan) else getattr(plan, "tgd_plan", None)
-    )
-    if new_source is None:
-        new_source = apply_delta(prev_source, delta)
+    omitted and a full run is needed, it is reconstructed with
+    :func:`apply_delta`.  The result is byte-identical to
+    ``plan.run(new_source)`` in every mode.
 
+    ``prev_source`` and ``prev_target`` are never mutated.  The scoped
+    splice runs in a one-shot :class:`IncrementalSession` that adopts
+    copies of them; the unchanged and fallback outcomes copy nothing
+    but the returned target.
+    """
+    tgd_plan = _tgd_plan_of(plan)
+    size = prev_source.size()
     report = IncrementalReport(
         mode="fallback",
         threshold=threshold,
         delta_records=len(delta.records),
         changed_nodes=delta.changed_nodes,
-        delta_ratio=delta.ratio(prev_source.size()),
+        delta_ratio=delta.ratio(size),
     )
-
-    def fallback(reason: str) -> tuple[XmlElement, IncrementalReport]:
-        report.mode = "fallback"
-        report.reason = reason
-        return plan.run(new_source), report
-
-    if delta.truncated:
-        return fallback("truncated delta")
-    if tgd_plan is None:
-        return fallback("plan has no tgd execution plan")
-    if delta.is_empty:
-        report.mode = "unchanged"
-        report.reason = "empty delta"
+    if _cascade(report, delta, tgd_plan, _analyze, prev_target):
+        session = IncrementalSession(plan, threshold=threshold)
+        try:
+            session._adopt(prev_source.copy(), prev_target.copy(), size)
+            return session._scoped(delta, report)
+        except ReproError as exc:
+            report.reason = f"scoped re-execution unavailable: {exc}"
+    if report.mode == "unchanged":
         return prev_target.copy(), report
-    if report.delta_ratio > threshold:
-        return fallback(
-            f"delta ratio {report.delta_ratio:.3f} exceeds "
-            f"threshold {threshold:.3f}"
-        )
-
-    if tgd_plan.planned is not None:
-        report.dirty_levels = tuple(
-            index
-            for index, level in enumerate(tgd_plan.planned.levels)
-            if _delta_touches(delta, level.read_paths, level.reads_resolved)
-        )
-        if not report.dirty_levels:
-            report.mode = "unchanged"
-            report.reason = "no level read-set intersects the delta"
-            return prev_target.copy(), report
-
-    shape, reason = _analyze(tgd_plan.tgd)
-    if shape is None:
-        return fallback(f"unsupported mapping shape: {reason}")
-    report.grouped = shape.grouped
-    if _delta_touches(delta, shape.global_reads, shape.global_resolved):
-        return fallback("delta intersects document-scoped reads of nested levels")
-    if prev_target.tag != tgd_plan.tgd.target_root:
-        return fallback("previous target root does not match the plan")
-
-    try:
-        return _scoped(
-            plan, tgd_plan, shape, prev_source, prev_target, delta,
-            new_source, report,
-        )
-    except ReproError as exc:
-        return fallback(f"scoped re-execution unavailable: {exc}")
-
-
-def _scoped(
-    plan,
-    tgd_plan: TgdPlan,
-    shape: _Shape,
-    prev_source: XmlElement,
-    prev_target: XmlElement,
-    delta: Delta,
-    new_source: XmlElement,
-    report: IncrementalReport,
-) -> tuple[XmlElement, IncrementalReport]:
-    root = shape.root
-    suffix = shape.suffix
-    fragment_tag = suffix[0].expr.label
-
-    try:
-        dirty = _DirtyIndex(prev_source, delta, shape.var_reads)
-    except XmlError as exc:
-        raise ReproError(f"delta does not resolve: {exc}") from exc
-
-    old_engine = _make_engine(tgd_plan, prev_source)
-    new_engine = _make_engine(tgd_plan, new_source)
-    old_envs = old_engine._enumerate(root, {})
-    new_envs = new_engine._enumerate(root, {})
-
-    signer = _Signer()
-    gens = root.source_gens
-    old_sigs = [signer.env_signature(gens, env) for env in old_envs]
-    old_dirty = [dirty.env_dirty(env, gens) for env in old_envs]
-    new_sigs = [signer.env_signature(gens, env) for env in new_envs]
-
-    prev_parent = prev_target
-    for gen in shape.prefix:
-        found = prev_parent.find(gen.expr.label)
-        if found is None:
-            raise ReproError("previous target lacks the root wrapper chain")
-        prev_parent = found
-    fragments = prev_parent.children
-    # The engine materializes unquantified wrappers lazily, per binding:
-    # with no bindings a full run leaves the target root empty, so only
-    # materialize the chain when at least one unit will be emitted.
-    if shape.prefix and new_envs:
-        (base_env,) = new_engine._materialize_targets(shape.prefix, {})
-        out_parent = base_env[shape.prefix[-1].var]
-    else:
-        base_env = {}
-        out_parent = new_engine.target_root
-    out = new_engine.target_root
-
-    if not shape.grouped:
-        if [c.tag for c in fragments] != [fragment_tag] * len(old_envs):
-            raise ReproError("previous target does not align with plan output")
-        # Signature matching is sound because compute_delta's insert
-        # records always land at per-tag occurrences beyond the paired
-        # ones: an inserted element's address can never collide with a
-        # surviving old element's, and mid-sequence shifts surface as
-        # mutations that mark the shifted elements dirty.
-        clean: dict[tuple, int] = {
-            sig: index
-            for index, sig in enumerate(old_sigs)
-            if not old_dirty[index]
-        }
-        report.total_units = len(new_envs)
-        for env, sig in zip(new_envs, new_sigs):
-            match = clean.get(sig)
-            if match is not None:
-                out_parent.append(fragments[match].copy())
-                report.reused_units += 1
-                continue
-            report.recomputed_units += 1
-            (iter_env,) = new_engine._materialize_targets(suffix, base_env)
-            for assignment in root.assignments:
-                new_engine._apply_assignment(assignment, env, iter_env)
-            for sub in root.submappings:
-                new_engine._run_mapping(sub, env, iter_env)
-        report.mode = "scoped"
-        report.reason = "per-binding fragments spliced"
-        return out, report
-
-    # Grouped root level: the unit is one grouping key.
-    _, skolem_app = root.skolem
-    old_groups: dict[tuple, list[int]] = {}
-    for index, env in enumerate(old_envs):
-        key = old_engine._group_key(root, skolem_app, env)
-        old_groups.setdefault(key, []).append(index)
-    if [c.tag for c in fragments] != [fragment_tag] * len(old_groups):
-        raise ReproError("previous target does not align with plan output")
-    old_fragment_of = {
-        key: fragments[position]
-        for position, key in enumerate(old_groups)
-    }
-    new_groups: dict[tuple, list[dict]] = {}
-    new_group_sigs: dict[tuple, list[tuple]] = {}
-    for env, sig in zip(new_envs, new_sigs):
-        key = new_engine._group_key(root, skolem_app, env)
-        new_groups.setdefault(key, []).append(env)
-        new_group_sigs.setdefault(key, []).append(sig)
-
-    # A group is reusable when its member set is structurally identical
-    # (same signatures, in order) and no old member's unit observes the
-    # delta: every difference between the documents is a delta record,
-    # so equal-signature clean members are bytewise-equivalent inputs.
-    report.total_units = len(new_groups)
-    for key, members in new_groups.items():
-        old_members = old_groups.get(key)
-        untouched = (
-            old_members is not None
-            and not any(old_dirty[i] for i in old_members)
-            and [old_sigs[i] for i in old_members] == new_group_sigs[key]
-        )
-        if untouched:
-            out_parent.append(old_fragment_of[key].copy())
-            report.reused_units += 1
-            continue
-        report.recomputed_units += 1
-        group_env = _group_members(gens, members)
-        (iter_env,) = new_engine._materialize_targets(
-            suffix, base_env, group_key=key
-        )
-        for assignment in root.assignments:
-            new_engine._apply_assignment(assignment, group_env, iter_env)
-        for sub in root.submappings:
-            new_engine._run_mapping(sub, group_env, iter_env)
-    report.mode = "scoped"
-    report.reason = "per-group fragments spliced"
-    return out, report
-
-
-# -- chained incremental sessions --------------------------------------------
+    if new_source is None:
+        new_source = apply_delta(prev_source, delta)
+    return plan.run(new_source), report
 
 
 class IncrementalSession:
     """Stateful delta-scoped execution over a maintained document.
 
-    :func:`transform_delta` is stateless: every call re-enumerates the
-    previous document, rebuilds the plan's document-scoped join tables
-    from scratch, and deep-copies every reused fragment.  A session
-    amortizes all three across a *chain* of edits — the steady state of
-    a mapping service re-transforming a document its user keeps
-    editing:
+    This is the one scoped-splice implementation.  A session keeps the
+    state the splice needs — the previous document, its enumeration and
+    the previous target — and carries it across a *chain* of edits,
+    the steady state of a mapping service re-transforming a document
+    its user keeps editing.  :func:`transform_delta` runs the same
+    splice in a one-shot session that adopts copies of its inputs.
+    Over a chain, a session saves three costs:
 
     * the source tree is **maintained in place**: each delta is applied
       to the session's own copy (:func:`~repro.xml.diff.apply_delta_in_place`),
@@ -883,18 +786,14 @@ class IncrementalSession:
     The returned target is owned by the session: it is recycled as the
     fragment source of the next :meth:`transform` call, so callers must
     serialize (or copy) it before calling :meth:`transform` again.
-    Every mode is byte-identical to ``plan.run(new_source)``, as for
-    the stateless entry point.
+    Every mode is byte-identical to ``plan.run(new_source)``, and both
+    entry points decide between the modes with the same checks.
     """
 
     def __init__(self, plan, *, threshold: float = DEFAULT_THRESHOLD):
         self.plan = plan
         self.threshold = threshold
-        self._tgd_plan: Optional[TgdPlan] = (
-            plan
-            if isinstance(plan, TgdPlan)
-            else getattr(plan, "tgd_plan", None)
-        )
+        self._tgd_plan = _tgd_plan_of(plan)
         if self._tgd_plan is None:
             self._shape, self._shape_reason = (
                 None, "plan has no tgd execution plan",
@@ -964,62 +863,32 @@ class IncrementalSession:
             )
         if delta.truncated:
             raise ReproError("cannot apply a truncated delta")
-        report = IncrementalReport(mode="fallback", threshold=self.threshold)
-        report.grouped = self._shape.grouped
-        report.delta_records = len(delta.records)
-        report.changed_nodes = delta.changed_nodes
-        report.delta_ratio = delta.ratio(self._size)
-        if delta.is_empty:
-            report.mode = "unchanged"
-            report.reason = "empty delta"
-            return self._target, report
-        if report.delta_ratio > self.threshold:
-            self._apply(delta)
-            return self._full(
-                self._source,
-                report,
-                reason=(
-                    f"delta ratio {report.delta_ratio:.3f} exceeds "
-                    f"threshold {self.threshold:.3f}"
-                ),
-                own=True,
-            )
-        planned = self._tgd_plan.planned
-        if planned is not None:
-            report.dirty_levels = tuple(
-                index
-                for index, level in enumerate(planned.levels)
-                if _delta_touches(delta, level.read_paths, level.reads_resolved)
-            )
-            if not report.dirty_levels:
-                # The edit lands where no level reads: the target — and
-                # the cached enumeration, whose chains are level reads —
-                # stay valid; only the maintained tree must catch up.
-                self._apply(delta)
-                report.mode = "unchanged"
-                report.reason = "no level read-set intersects the delta"
-                return self._target, report
-        if _delta_touches(
-            delta, self._shape.global_reads, self._shape.global_resolved
-        ):
-            self._apply(delta)
-            return self._full(
-                self._source,
-                report,
-                reason="delta intersects document-scoped reads of nested levels",
-                own=True,
-            )
-        touched = delta.tag_paths()
+        report = IncrementalReport(
+            mode="fallback",
+            threshold=self.threshold,
+            delta_records=len(delta.records),
+            changed_nodes=delta.changed_nodes,
+            delta_ratio=delta.ratio(self._size),
+        )
         self._applied = False
-        try:
-            return self._scoped(delta, touched, report)
-        except ReproError as exc:
-            reason = f"scoped re-execution unavailable: {exc}"
-            if not self._applied:
-                self._apply(delta)
-            # The maintained tree already matches the edited document
-            # bytewise; recompute over it so state stays aligned.
-            return self._full(self._source, report, reason=reason, own=True)
+        if _cascade(
+            report, delta, self._tgd_plan,
+            lambda _tgd: (self._shape, self._shape_reason), self._target,
+        ):
+            try:
+                return self._scoped(delta, report)
+            except ReproError as exc:
+                report.reason = f"scoped re-execution unavailable: {exc}"
+        if not self._applied:
+            self._apply(delta)
+        if report.mode == "unchanged":
+            # No edit lands where a level reads: the target — and the
+            # cached enumeration, whose chains are level reads — stay
+            # valid; only the maintained tree had to catch up.
+            return self._target, report
+        # The maintained tree now matches the edited document bytewise;
+        # recompute over it so the session's state stays aligned.
+        return self._full(self._source, report, reason=report.reason, own=True)
 
     # -- internals ------------------------------------------------------
 
@@ -1040,20 +909,20 @@ class IncrementalSession:
             # stale.  (``own`` re-runs over the maintained tree, whose
             # entries were already invalidated per delta.)
             self._memo.clear()
-        self._source = base
-        self._size = base.size()
-        self._target = target
-        self._refresh()
+        self._adopt(base, target, base.size())
         return target, report
 
-    def _refresh(self) -> None:
-        """Re-derive the cached old side (environments, signatures,
-        grouping keys) from the maintained source."""
+    def _adopt(self, source: XmlElement, target: XmlElement, size: int) -> None:
+        """Take ``source`` (of ``size`` elements) and its ``target`` as
+        the session's state, and re-derive the cached old side
+        (environments, signatures, grouping keys) from it."""
         assert self._shape is not None and self._tgd_plan is not None
-        assert self._source is not None
+        self._source = source
+        self._size = size
+        self._target = target
         root = self._shape.root
         gens = root.source_gens
-        engine = _make_engine(self._tgd_plan, self._source, self._memo)
+        engine = _make_engine(self._tgd_plan, source, self._memo)
         self._envs = engine._enumerate(root, {})
         signer = _Signer()
         self._sigs = [signer.env_signature(gens, env) for env in self._envs]
@@ -1083,7 +952,7 @@ class IncrementalSession:
         self._applied = True
 
     def _scoped(
-        self, delta: Delta, touched: set, report: IncrementalReport
+        self, delta: Delta, report: IncrementalReport
     ) -> tuple[XmlElement, IncrementalReport]:
         assert self._shape is not None and self._tgd_plan is not None
         assert self._source is not None and self._target is not None
@@ -1100,10 +969,7 @@ class IncrementalSession:
         old_envs, old_sigs = self._envs, self._sigs
         old_dirty = [dirty.env_dirty(env, gens) for env in old_envs]
 
-        prev_target = self._target
-        if prev_target.tag != self._tgd_plan.tgd.target_root:
-            raise ReproError("previous target root does not match the plan")
-        prev_parent = prev_target
+        prev_parent = self._target
         for gen in shape.prefix:
             found = prev_parent.find(gen.expr.label)
             if found is None:
@@ -1162,6 +1028,9 @@ class IncrementalSession:
             else:
                 new_keys.append(new_engine._group_key(root, skolem_app, env))
 
+        # The engine materializes unquantified wrappers lazily, per
+        # binding: with no bindings a full run leaves the target root
+        # empty, so only materialize the chain when a unit is emitted.
         if shape.prefix and new_envs:
             (base_env,) = new_engine._materialize_targets(shape.prefix, {})
             out_parent = base_env[shape.prefix[-1].var]
@@ -1179,6 +1048,12 @@ class IncrementalSession:
             out_parent.append(fragment)
 
         if not shape.grouped:
+            # Signature matching is sound because compute_delta's insert
+            # records always land at per-tag occurrences beyond the
+            # paired ones: an inserted element's address can never
+            # collide with a surviving old element's, and mid-sequence
+            # shifts surface as mutations that mark the shifted
+            # elements dirty.
             clean: dict[tuple, int] = {
                 sig: index
                 for index, sig in enumerate(old_sigs)
@@ -1204,6 +1079,11 @@ class IncrementalSession:
             for env, sig, key in zip(new_envs, new_sigs, new_keys):
                 new_groups.setdefault(key, []).append(env)
                 new_group_sigs.setdefault(key, []).append(sig)
+            # A group is reusable when its member set is structurally
+            # identical (same signatures, in order) and no old member's
+            # unit observes the delta: every difference between the
+            # documents is a delta record, so equal-signature clean
+            # members are bytewise-equivalent inputs.
             report.total_units = len(new_groups)
             for key, members in new_groups.items():
                 old_members = old_groups.get(key)

@@ -22,7 +22,8 @@ Endpoints
   byte-identical to chaining the two originals.  Pairs outside the
   composable fragment answer 422 with the :class:`ComposeError` reason.
   A composition is one more :class:`RegisteredMapping` (with no Clip
-  drawing behind it); it serves single transforms only.
+  drawing behind it) and serves single, batch and delta transforms
+  like a drawn mapping.
 * ``POST /transform?mapping=FP`` — transform one document (raw XML
   body, or a JSON envelope ``{"mapping": …, "document": …}``); the
   response body is the output XML, byte-identical to what the CLI
@@ -75,7 +76,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from .. import errors as errors_module
@@ -218,6 +219,12 @@ class RegisteredMapping:
     tgd: NestedTgd
     mapping: Optional[ClipMapping] = None
     operands: Tuple[str, ...] = ()
+
+    @property
+    def artifact(self) -> Union[ClipMapping, NestedTgd]:
+        """What a plan is compiled from: the drawing, or for a
+        composition its fused tgd."""
+        return self.mapping if self.mapping is not None else self.tgd
 
     def describe(self) -> dict:
         doc = {"fingerprint": self.fingerprint, **self.spec.describe()}
@@ -679,11 +686,6 @@ class ClipService:
             deadline = self._deadline(params)
             job = decode(params, headers, body)
             entry = self._lookup_mapping(job.fp)
-            if entry.operands and job.endpoint != "transform":
-                raise ServiceError(
-                    f"{job.endpoint} requests are not supported for "
-                    "composed mappings; use POST /transform per document"
-                )
             documents, positions, parse_failures, parse_letters = (
                 self._parse(entry, job, deadline)
             )
@@ -802,7 +804,7 @@ class ClipService:
 
     def _runner(self, entry: RegisteredMapping, tracer, **options) -> BatchRunner:
         return BatchRunner(
-            entry.mapping if entry.mapping is not None else entry.tgd,
+            entry.artifact,
             engine=entry.spec.engine,
             optimize=entry.spec.optimize,
             exec_mode=entry.spec.exec_mode,
@@ -1025,22 +1027,36 @@ class ClipService:
                        threshold: Optional[float]):
         [new_source] = documents
         started = time.perf_counter()
-        prev_source = deadline.run(
-            lambda: parse_xml(base["source_xml"], schema=entry.source)
-        )
-        prev_target = parse_xml(base["result_xml"], schema=entry.target)
         plan = self.cache.get_or_compile(
-            entry.mapping, entry.spec.engine, fp=entry.fingerprint,
+            entry.artifact, entry.spec.engine, fp=entry.fingerprint,
             optimize=entry.spec.optimize, exec_mode=entry.spec.exec_mode,
         )
-        delta = compute_delta(prev_source, new_source)
         kwargs = {} if threshold is None else {"threshold": threshold}
-        result, report = deadline.run(
-            lambda: transform_delta(
+
+        def step():
+            prev_source = parse_xml(base["source_xml"], schema=entry.source)
+            prev_target = parse_xml(base["result_xml"], schema=entry.target)
+            delta = compute_delta(prev_source, new_source)
+            return transform_delta(
                 plan, prev_source, prev_target, delta,
                 new_source=new_source, **kwargs,
             )
-        )
+
+        try:
+            result, report = deadline.run(step)
+        except ReproError as exc:
+            # Shed like a failed single transform: one document failure,
+            # dead-lettered and counted.
+            failure = DocumentFailure.from_exception(0, exc)
+            metrics = BatchMetrics(
+                engine=entry.spec.engine, workers=1,
+                error_policy=ErrorPolicy.COLLECT.value,
+                failures=1, dead_letter=1,
+            )
+            return BatchResult(
+                [], metrics, failures=[failure],
+                dead_letters=[DeadLetter(failure, new_source)],
+            ), ()
         elapsed = time.perf_counter() - started
         self.metrics.count_incremental(fallback=not report.incremental)
         metrics = BatchMetrics(

@@ -302,10 +302,12 @@ def test_containment_answers_unknown_outside_fragment():
 
 
 def test_canonical_render_pinned():
-    """The canonical normal form is a cache-key contract: variables
-    alpha-renamed to ``c0, c1, …`` in traversal order, where-conjuncts
-    sorted, everything else in document order.  Pinned byte-for-byte —
-    changing this changes every canonicalized plan-cache key."""
+    """The canonical normal form: variables alpha-renamed to ``c0, c1,
+    …`` in traversal order, where-conjuncts sorted, everything else in
+    document order.  Pinned byte-for-byte — ``contains`` (and so
+    ``equivalent``) takes equal renders as alpha-equivalence, even
+    outside the decidable fragment, so changing this form changes what
+    they decide."""
     rendered = canonical_render(
         compile_clip(_m_ab(emp_cond="$e.sal.value > 1000"))
     )

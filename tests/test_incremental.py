@@ -304,6 +304,70 @@ class TestIncrementalSession:
                 assert report.mode == "fallback"
 
 
+def _bulk_edit(doc):
+    for index in range(60):
+        _edit_ename(doc, f"bulk {index}", index)
+        _edit_pname(doc, f"bulk {index}", index)
+
+
+#: One edit of each kind the merged path must agree on, from a scoped
+#: field edit to a threshold fallback and no edit at all.
+_MERGED_EDITS = {
+    "pname": lambda doc: _edit_pname(doc, "merged path"),
+    "ename": lambda doc: _edit_ename(doc, "merged path"),
+    "drop-project": lambda doc: _drop_project(doc, 2),
+    "bulk": _bulk_edit,
+    "empty": lambda doc: None,
+}
+
+
+class TestOneSplice:
+    """:func:`transform_delta` and :meth:`IncrementalSession.apply` run
+    one check cascade and one scoped splice."""
+
+    @pytest.mark.parametrize(
+        "figure, edit, mode",
+        [
+            ("fig7", "empty", "unchanged"),
+            ("fig7", "pname", "scoped"),
+            ("fig3", "bulk", "fallback"),
+        ],
+    )
+    def test_transform_delta_leaves_its_inputs_unchanged(
+        self, figure, edit, mode
+    ):
+        plan = _plan(figure)
+        old = _instance()
+        old_target = plan.run(old)
+        new = old.copy()
+        _MERGED_EDITS[edit](new)
+        delta = compute_delta(old, new)
+        source_before, target_before = to_xml(old), to_xml(old_target)
+        got, report = transform_delta(plan, old, old_target, delta)
+        assert report.mode == mode
+        assert to_xml(got) == to_xml(plan.run(new))
+        assert to_xml(old) == source_before
+        assert to_xml(old_target) == target_before
+        assert got is not old_target
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig5", "fig7"])
+    @pytest.mark.parametrize("edit", sorted(_MERGED_EDITS))
+    def test_stateless_and_session_reports_agree(self, figure, edit):
+        plan = _plan(figure)
+        old = _instance()
+        new = old.copy()
+        _MERGED_EDITS[edit](new)
+        delta = compute_delta(old, new)
+        stateless, stateless_report = transform_delta(
+            plan, old, plan.run(old), delta
+        )
+        session = IncrementalSession(plan)
+        session.transform(old)
+        stateful, session_report = session.apply(delta)
+        assert stateless_report.to_dict() == session_report.to_dict()
+        assert to_xml(stateless) == to_xml(stateful) == to_xml(plan.run(new))
+
+
 class TestPlanMemo:
     CHAINS = {
         "seq": ("Depts", "Dept", "Proj"),

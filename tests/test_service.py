@@ -935,6 +935,44 @@ class TestTransformDelta:
         assert response.status == 400
         assert b"envelope" in response.body
 
+    def test_slow_diff_is_bounded_by_the_request_deadline(
+        self, mapping, source_xml, monkeypatch
+    ):
+        """The stored-pair parse, the diff and the incremental run share
+        one request deadline: a diff that hangs is answered with the
+        504 document-failure envelope long before it returns."""
+        import time
+
+        from repro.service import app
+
+        service = make_service()
+        request_id, _body = self._transform(service, mapping, source_xml)
+
+        diff = app.compute_delta
+
+        def slow_diff(*args, **kwargs):
+            time.sleep(5.0)
+            return diff(*args, **kwargs)
+
+        monkeypatch.setattr(app, "compute_delta", slow_diff)
+        started = time.monotonic()
+        response = service.dispatch(
+            "POST", "/transform/delta?deadline=0.2", {},
+            json.dumps(
+                {"request": request_id, "document": self._edited(source_xml)}
+            ).encode(),
+        )
+        elapsed = time.monotonic() - started
+        assert response.status == 504
+        doc = json.loads(response.body)
+        assert doc["format"] == "clip-service-error"
+        assert doc["error"] == "DocumentTimeout"
+        assert doc["timed_out"] is True
+        assert doc["attempts"] == 1
+        assert elapsed < 3.0, f"answered after {elapsed:.2f}s"
+        text = service.dispatch("GET", "/metrics").body.decode()
+        assert "clip_service_document_failures_total 1" in text
+
     def test_out_of_range_threshold_is_rejected(
         self, service, mapping, source_xml
     ):
@@ -1120,22 +1158,87 @@ class TestCompose:
         assert response.status == 400
         assert b"compositions" in response.body
 
-    def test_batch_through_composition_is_refused(self, service):
+    @staticmethod
+    def _edited_source_xml() -> str:
+        """The chain's source with Bob's salary raised past the B→C
+        filter, so the edit changes the composed output."""
+        return TestCompose._source_xml().replace(
+            '<sal>900</sal>', '<sal>1900</sal>'
+        )
+
+    def _cli_run_compose(self, tmp_path, source_xml: str) -> bytes:
+        """What ``repro run --compose`` writes for the chain."""
         m_ab, m_bc, _ = self._chain()
-        fp_ab = register(service, m_ab)
-        fp_bc = register(service, m_bc)
-        composed_fp = json.loads(
-            self._compose(service, fp_ab, fp_bc).body
-        )["fingerprint"]
+        paths = [tmp_path / name for name in ("ab.json", "bc.json",
+                                              "s.xml", "c.xml")]
+        paths[0].write_text(dumps(m_ab), encoding="utf-8")
+        paths[1].write_text(dumps(m_bc), encoding="utf-8")
+        paths[2].write_text(source_xml, encoding="utf-8")
+        assert cli.main([
+            "run", str(paths[0]), str(paths[2]), "--compose", str(paths[1]),
+            "-o", str(paths[3]),
+        ]) == 0
+        return paths[3].read_bytes()
+
+    def test_batch_through_composition_matches_cli_run_compose(
+        self, service, tmp_path
+    ):
+        composed_fp = self._composed(service)
+        sources = [self._source_xml(), self._edited_source_xml()]
+        assert sources[0] != sources[1]
+        response = service.dispatch(
+            "POST", "/transform/batch", {},
+            json.dumps({"mapping": composed_fp, "documents": sources}).encode(),
+        )
+        assert response.status == 200, response.body
+        doc = json.loads(response.body)
+        assert doc["succeeded"] == 2
+        for result, source_xml in zip(doc["results"], sources):
+            expected = self._cli_run_compose(tmp_path, source_xml)
+            assert result["xml"].encode("utf-8") == expected
+
+    def test_delta_through_composition_matches_a_full_composed_transform(
+        self, service
+    ):
+        composed_fp = self._composed(service)
+        base = service.dispatch(
+            "POST", f"/transform?mapping={composed_fp}", {},
+            self._source_xml().encode(),
+        )
+        assert base.status == 200, base.body
+        edited = self._edited_source_xml()
+        response = service.dispatch(
+            "POST", "/transform/delta", {},
+            json.dumps({
+                "request": dict(base.headers)["X-Clip-Request"],
+                "document": edited,
+            }).encode(),
+        )
+        assert response.status == 200, response.body
+        headers = dict(response.headers)
+        assert headers["X-Clip-Mapping"] == composed_fp
+        assert headers["X-Clip-Incremental"] in (
+            "unchanged", "scoped", "fallback"
+        )
+        full = service.dispatch(
+            "POST", f"/transform?mapping={composed_fp}", {}, edited.encode()
+        )
+        assert full.status == 200
+        assert response.body == full.body
+        assert response.body != base.body
+
+    def test_composed_batch_with_validate_is_400(self, service):
+        composed_fp = self._composed(service)
         response = service.dispatch(
             "POST", "/transform/batch", {},
             json.dumps({
                 "mapping": composed_fp,
                 "documents": [self._source_xml()],
+                "validate": True,
             }).encode(),
         )
         assert response.status == 400
-        assert b"batch" in response.body
+        assert b"validate" in response.body
 
     def test_composition_appears_in_listing_and_detail(self, service):
         m_ab, m_bc, _ = self._chain()
