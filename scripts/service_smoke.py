@@ -11,6 +11,11 @@ the outside:
     response **byte for byte** against what ``python -m repro run``
     writes for the same inputs;
 3.  round-trip a batch request and compare each document the same way;
+    send a batch with a malformed middle document under ``collect`` and
+    compare its results and its dead letter byte for byte against
+    ``python -m repro batch --error-policy collect --dead-letter-dir``;
+    and check that ``repro batch --workers 2`` (documents parsed in the
+    pool workers) writes the same output files as ``--workers 1``;
 4.  edit the source and ``POST /transform/delta`` against the step-2
     request: the incremental response must be byte-identical to a full
     transform of the edited document;
@@ -50,6 +55,10 @@ sys.path.insert(0, str(SRC))
 from repro.core.mapping import ClipMapping  # noqa: E402
 from repro.io import dumps  # noqa: E402
 from repro.scenarios import deptstore  # noqa: E402
+from repro.scenarios.workload import (  # noqa: E402
+    DeptstoreSpec,
+    make_deptstore_instance,
+)
 from repro.xml.model import element  # noqa: E402
 from repro.xml.serialize import to_xml  # noqa: E402
 from repro.xsd.dsl import attr, elem, schema  # noqa: E402
@@ -123,6 +132,31 @@ def cli_run(tmp: Path, figure: str, *flags: str) -> bytes:
     return out_path.read_bytes()
 
 
+def cli_batch(tmp: Path, figure: str, texts: list, out_dir: Path,
+              *flags: str) -> int:
+    """Run ``python -m repro batch`` over ``texts`` (written as
+    ``doc<i>.xml``) into ``out_dir``; returns the exit status."""
+    mapping_path = tmp / f"{figure}.json"
+    mapping_path.write_text(dumps(FIGURES[figure]()), encoding="utf-8")
+    paths = []
+    for position, text in enumerate(texts):
+        path = tmp / f"doc{position}.xml"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "batch", str(mapping_path), *paths,
+         "--output-dir", str(out_dir), *flags],
+        check=False, env={"PYTHONPATH": str(SRC)}, cwd=REPO,
+        capture_output=True,
+    ).returncode
+
+
+def files_of(directory: Path) -> dict:
+    """``{file name: bytes}`` of a directory's files."""
+    return {path.name: path.read_bytes()
+            for path in sorted(directory.iterdir()) if path.is_file()}
+
+
 def compose_chain() -> tuple[ClipMapping, ClipMapping, str]:
     """An A→B and a B→C mapping inside the composable fragment, plus an
     A source document."""
@@ -193,8 +227,10 @@ def cli_run_compose(tmp: Path, m_ab: ClipMapping, m_bc: ClipMapping,
 
 def main() -> int:
     print("service smoke: booting `python -m repro serve --port 0`")
+    server_letters = tempfile.TemporaryDirectory()
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--dead-letter-dir", server_letters.name],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env={"PYTHONPATH": str(SRC)}, cwd=REPO,
     )
@@ -258,6 +294,64 @@ def main() -> int:
                   and all(entry["xml"].encode("utf-8") == expected
                           for entry in doc.get("results", [])),
                   f"{status} {body[:160]!r}")
+
+            tmp = Path(tmp)
+            texts = [source.decode("utf-8"), "<dept><unclosed>",
+                     source.decode("utf-8").replace("ICT", "Sales")]
+            cli_out, cli_letters = tmp / "collect-out", tmp / "collect-dlq"
+            code = cli_batch(tmp, "fig6", texts, cli_out,
+                             "--error-policy", "collect",
+                             "--dead-letter-dir", str(cli_letters))
+            status, body = http(
+                "POST", f"{base}/transform/batch",
+                json.dumps({
+                    "mapping": fingerprints["fig6"],
+                    "documents": texts,
+                    "error_policy": "collect",
+                }).encode("utf-8"),
+                content_type="application/json",
+            )
+            doc = json.loads(body) if status == 200 else {}
+            served = {entry["index"]: entry["xml"].encode("utf-8")
+                      for entry in doc.get("results", [])}
+            written = files_of(cli_out) if cli_out.is_dir() else {}
+            check("collect batch with a malformed document == CLI batch",
+                  code == 0 and status == 200
+                  and [f["index"] for f in doc.get("failures", [])] == [1]
+                  and served == {0: written.get("doc0.out.xml"),
+                                 2: written.get("doc2.out.xml")},
+                  f"exit {code}, {status} {body[:160]!r}")
+            letters = [Path(path) for path in doc.get("dead_letters", [])
+                       if path.endswith(".xml")]
+            cli_letter = cli_letters / "dead-letter-00001.xml"
+            check("its dead letter == CLI batch dead letter",
+                  len(letters) == 1 and cli_letter.is_file()
+                  and letters[0].name == cli_letter.name
+                  and letters[0].read_bytes() == cli_letter.read_bytes()
+                  == texts[1].encode("utf-8"),
+                  f"{letters!r}")
+
+            texts = [
+                to_xml(make_deptstore_instance(DeptstoreSpec(
+                    departments=3, projects_per_dept=2,
+                    employees_per_dept=4, seed=seed,
+                )))
+                for seed in range(5)
+            ]
+            outputs = {}
+            for workers in ("1", "2"):
+                out_dir = tmp / f"workers-{workers}"
+                code = cli_batch(tmp, "fig6", texts, out_dir,
+                                 "--workers", workers)
+                outputs[workers] = (
+                    code, files_of(out_dir) if out_dir.is_dir() else {}
+                )
+            check("CLI batch --workers 2 == --workers 1",
+                  outputs["1"][0] == outputs["2"][0] == 0
+                  and len(outputs["1"][1]) == len(texts)
+                  and outputs["1"][1] == outputs["2"][1],
+                  f"exit {outputs['1'][0]}/{outputs['2'][0]}, "
+                  f"{len(outputs['1'][1])}/{len(outputs['2'][1])} files")
 
         edited_instance = deptstore.source_instance()
         for node in edited_instance.iter():
@@ -397,6 +491,7 @@ def main() -> int:
             server.wait(timeout=10)
         except subprocess.TimeoutExpired:
             server.kill()
+        server_letters.cleanup()
 
 
 if __name__ == "__main__":

@@ -252,13 +252,7 @@ def _cmd_compose(args) -> int:
 def _cmd_batch(args) -> int:
     import os
 
-    from .runtime import (
-        BatchRunner,
-        DeadLetter,
-        DocumentFailure,
-        PlanCache,
-        write_dead_letters,
-    )
+    from .runtime import BatchRunner, PlanCache, write_dead_letters
 
     if args.workers < 1:
         print(
@@ -284,27 +278,9 @@ def _cmd_batch(args) -> int:
         # collected; promote the policy rather than silently ignoring.
         error_policy = "collect"
     clip = load_mapping(args.mapping)
-    # Under skip/collect an unreadable or malformed input is isolated
-    # like any other per-document fault instead of aborting the batch;
-    # its raw text (when readable) is what gets dead-lettered.
-    documents = []
-    source_index: list[int] = []
-    parse_failures: list[DocumentFailure] = []
-    parse_letters: list[DeadLetter] = []
-    for position, path in enumerate(args.sources):
-        try:
-            text = _read(path)
-            documents.append(parse_xml(text, schema=clip.source))
-        except (OSError, ReproError) as exc:
-            if error_policy == "fail_fast":
-                raise
-            failure = DocumentFailure.from_exception(position, exc)
-            parse_failures.append(failure)
-            if error_policy == "collect":
-                raw = text if not isinstance(exc, OSError) else ""
-                parse_letters.append(DeadLetter(failure, raw))
-        else:
-            source_index.append(position)
+    # An unreadable file exits 2, as for `run`; a malformed document is
+    # the runner's per-document failure.
+    texts = [_read(path) for path in args.sources]
     tracer = None
     if args.trace_json:
         from .runtime import SpanTracer
@@ -325,21 +301,10 @@ def _cmd_batch(args) -> int:
         # exactly this run, not whatever the process compiled before.
         cache=PlanCache(),
     )
-    batch = runner.run(documents)
+    batch = runner.run(texts)
     if tracer is not None:
         _write_trace(tracer, args.trace_json)
-    # Runner indices address the parsed-documents list; map them back
-    # to positions in ``args.sources`` (parse failures left gaps).
-    for failure in batch.failures:
-        failure.index = source_index[failure.index]
-    all_failures = sorted(
-        batch.failures + parse_failures, key=lambda failure: failure.index
-    )
-    all_dead_letters = sorted(
-        batch.dead_letters + parse_letters,
-        key=lambda letter: letter.failure.index,
-    )
-    succeeded = [args.sources[source_index[index]] for index in batch.success_indices]
+    succeeded = [args.sources[index] for index in batch.success_indices]
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
         for path, result in zip(succeeded, batch):
@@ -352,19 +317,17 @@ def _cmd_batch(args) -> int:
         for path, result in zip(succeeded, batch):
             print(f"{path}: {result.size()} elements")
     metrics = batch.metrics
-    metrics.failures += len(parse_failures)
-    metrics.dead_letter += len(parse_letters)
-    for failure in all_failures:
+    for failure in batch.failures:
         print(
             f"failed: {args.sources[failure.index]}: "
             f"{failure.error}: {failure.message} "
             f"({failure.attempts} attempt{'s' if failure.attempts != 1 else ''})",
             file=sys.stderr,
         )
-    if args.dead_letter_dir and all_dead_letters:
-        paths = write_dead_letters(all_dead_letters, args.dead_letter_dir)
+    if args.dead_letter_dir and batch.dead_letters:
+        paths = write_dead_letters(batch.dead_letters, args.dead_letter_dir)
         print(
-            f"dead-lettered {len(all_dead_letters)} inputs to "
+            f"dead-lettered {len(batch.dead_letters)} inputs to "
             f"{args.dead_letter_dir} ({len(paths)} files)"
         )
     if args.metrics_json:
@@ -751,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-document evaluation wall-clock budget; overruns count "
-             "as transient failures",
+        help="per-document wall-clock budget for parse plus evaluation; "
+             "overruns count as transient failures",
     )
     batch.add_argument(
         "--dead-letter-dir", default=None, metavar="DIR",

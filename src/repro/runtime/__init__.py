@@ -80,6 +80,7 @@ from .metrics import (
 from .plan import (
     ENGINES,
     CompiledPlan,
+    Composition,
     ExecSpec,
     compile_plan,
     eligible_engines,
@@ -108,6 +109,7 @@ __all__ = [
     "BatchRunner",
     "CacheStats",
     "CompiledPlan",
+    "Composition",
     "DEFAULT_THRESHOLD",
     "DeadLetter",
     "Deadline",

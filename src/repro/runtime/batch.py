@@ -23,10 +23,16 @@ The runtime's contract, in order of importance:
   hits/misses, compile/execute/wall seconds, violations) ready for
   ``--metrics-json``.
 
+Documents are XML text or parsed trees.  Reading an instance is part
+of applying the mapping, so text is parsed against the source schema
+inside the document's attempt: a malformed or slow document fails like
+any other, and is dead-lettered as its raw text.
+
 ``workers=1`` runs in-process (no pickling, no pool, streaming over
-any iterator).  ``workers>1`` ships the *compiled tgd* to each worker
-once (pool initializer) — workers re-emit only their engine artifact —
-and the parent reassembles results in input order.  The ``fork`` start
+any iterator).  ``workers>1`` ships the *compiled tgd* and the source
+schema to each worker once (pool initializer) — workers re-emit only
+their engine artifact, and parse text documents themselves — and the
+parent reassembles results in input order.  The ``fork`` start
 method is preferred where available; when only ``spawn`` exists the
 runner checks eagerly that a child interpreter could import ``repro``
 (``PYTHONPATH=src`` or an installed package) and raises
@@ -46,34 +52,39 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..core.mapping import ClipMapping
-from ..core.tgd import NestedTgd
 from ..errors import (
     DocumentFailureError,
     WorkerCrashError,
     WorkerSetupError,
 )
 from ..xml.model import XmlElement
+from ..xml.parser import parse_xml
 from ..xsd.validate import validate as validate_instance
 from .cache import PlanCache, default_cache
 from .faults import DeadLetter, DocumentFailure, ErrorPolicy, FaultInjector
 from .metrics import BatchMetrics
-from .plan import ExecSpec, plan_from_tgd
+from .plan import Composition, ExecSpec, plan_from_tgd
 from .retry import RetryPolicy, call_with_timeout
 from .trace import event_payload, shift_payload
+
+#: An input document: XML text, or an already parsed instance tree.
+Document = Union[str, XmlElement]
 
 #: A worker task: (document index, attempt number, document).
 Task = tuple
 
-#: A worker record: ("ok", index, attempt, result, seconds) or
-#: ("err", index, attempt, DocumentFailure, seconds) — plus, when the
-#: run is traced, a sixth element holding the attempt's serialized
-#: span payload (see :mod:`repro.runtime.trace`).
+#: A worker record: ("ok", index, attempt, result, evaluation seconds,
+#: source elements, payload) or ("err", index, attempt,
+#: DocumentFailure, 0.0, 0, payload); ``payload`` is the attempt's
+#: serialized span when the run is traced (see
+#: :mod:`repro.runtime.trace`).
 Record = tuple
 
 
 def _attempt(
     plan,
-    doc: XmlElement,
+    schema,
+    doc: Document,
     index: int,
     attempt: int,
     injector: Optional[FaultInjector],
@@ -83,8 +94,9 @@ def _attempt(
     """One attempt at one document, in-process or in a worker; never
     raises.
 
-    Fires the injected faults, then runs the plan under ``timeout``.
-    Returns the :data:`Record` and, on failure, the exception itself:
+    Fires the injected faults, parses a text document against
+    ``schema`` and runs the plan, all under ``timeout``.  Returns the
+    :data:`Record` and, on failure, the exception itself:
     the record's :class:`DocumentFailure` is what crosses the pool, the
     exception stays in-process (fail_fast chains it as the cause).
 
@@ -106,23 +118,27 @@ def _attempt(
         span = scratch.begin(f"attempt[{attempt}]")
     engine_trace = scratch if timeout is None else None
 
-    def call() -> XmlElement:
+    def call() -> tuple[XmlElement, float, int]:
         if injector is not None:
             injector.fire(index, attempt)
+        source = parse_xml(doc, schema=schema) if isinstance(doc, str) else doc
+        started = time.perf_counter()
         if engine_trace is None:
-            return plan(doc)
-        return plan.run(doc, trace=engine_trace)
+            result = plan(source)
+        else:
+            result = plan.run(source, trace=engine_trace)
+        return result, time.perf_counter() - started, source.size()
 
-    started = time.perf_counter()
     cause: Optional[BaseException] = None
     try:
-        kind, value = "ok", call_with_timeout(call, timeout)
+        kind = "ok"
+        value, seconds, source_elements = call_with_timeout(call, timeout)
     except Exception as exc:
-        cause = exc
+        cause, seconds, source_elements = exc, 0.0, 0
         kind, value = "err", DocumentFailure.from_exception(
             index, exc, attempts=attempt + 1
         )
-    record: Record = (kind, index, attempt, value, time.perf_counter() - started)
+    payload = None
     if span is not None:
         if cause is None:
             scratch.end(span, status="ok")
@@ -133,20 +149,21 @@ def _attempt(
                 message=value.message, transient=value.transient,
                 timed_out=value.timed_out,
             )
-        record += (span.to_payload(),)
-    return record, cause
+        payload = span.to_payload()
+    return (kind, index, attempt, value, seconds, source_elements, payload), cause
 
 
 # -- worker-process side ----------------------------------------------------
 
 _WORKER_PLAN: Optional[Callable[[XmlElement], XmlElement]] = None
+_WORKER_SCHEMA = None
 _WORKER_INJECTOR: Optional[FaultInjector] = None
 _WORKER_TIMEOUT: Optional[float] = None
 _WORKER_TRACE: bool = False
 
 
 def _init_worker(
-    tgd_bytes: bytes,
+    plan_bytes: bytes,
     spec: ExecSpec,
     injector_bytes: bytes,
     timeout: Optional[float],
@@ -161,9 +178,11 @@ def _init_worker(
     the deterministic-emission contract lets the worker verify the
     cached source against its own plan.
     """
-    global _WORKER_PLAN, _WORKER_INJECTOR, _WORKER_TIMEOUT, _WORKER_TRACE
+    global _WORKER_PLAN, _WORKER_SCHEMA, _WORKER_INJECTOR, _WORKER_TIMEOUT
+    global _WORKER_TRACE
+    tgd, _WORKER_SCHEMA = pickle.loads(plan_bytes)
     _WORKER_PLAN = plan_from_tgd(
-        pickle.loads(tgd_bytes), spec.engine, optimize=spec.optimize,
+        tgd, spec.engine, optimize=spec.optimize,
         exec_mode=spec.exec_mode, codegen_source=codegen_source,
     )
     _WORKER_INJECTOR = pickle.loads(injector_bytes) if injector_bytes else None
@@ -182,8 +201,8 @@ def _run_task(task: Task) -> Record:
     index, attempt, doc = task
     assert _WORKER_PLAN is not None, "worker initializer did not run"
     record, _cause = _attempt(
-        _WORKER_PLAN, doc, index, attempt, _WORKER_INJECTOR, _WORKER_TIMEOUT,
-        _WORKER_TRACE,
+        _WORKER_PLAN, _WORKER_SCHEMA, doc, index, attempt, _WORKER_INJECTOR,
+        _WORKER_TIMEOUT, _WORKER_TRACE,
     )
     return record
 
@@ -311,11 +330,10 @@ class BatchRunner:
     Parameters
     ----------
     mapping:
-        The Clip mapping to apply — or a composed mapping, given as its
-        fused :class:`NestedTgd` together with ``fingerprint`` (a
-        composition has no drawing to fingerprint, nor a target schema
-        to ``validate`` against; its traces are seeded by the
-        fingerprint).
+        The Clip mapping to apply — or a :class:`Composition` together
+        with ``fingerprint`` (a composition has no drawing to
+        fingerprint, nor a target schema to ``validate`` against; its
+        traces are seeded by the fingerprint).
     engine:
         ``"tgd"`` (default), ``"xquery"`` or ``"xslt"``.
     workers:
@@ -382,7 +400,7 @@ class BatchRunner:
 
     def __init__(
         self,
-        mapping: Union[ClipMapping, NestedTgd],
+        mapping: Union[ClipMapping, Composition],
         *,
         engine: str = "tgd",
         workers: int = 1,
@@ -406,7 +424,7 @@ class BatchRunner:
             )
         self.mapping = mapping
         #: The schema ``validate`` checks results against.
-        self.target = None if isinstance(mapping, NestedTgd) else mapping.target
+        self.target = None if isinstance(mapping, Composition) else mapping.target
         if validate and self.target is None:
             raise ValueError("validate needs a drawn mapping's target schema")
         self.workers = workers
@@ -430,8 +448,9 @@ class BatchRunner:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, documents: Iterable[XmlElement]) -> BatchResult:
-        """Apply the mapping to every document, in order.
+    def run(self, documents: Iterable[Document]) -> BatchResult:
+        """Apply the mapping to every document (XML text or a parsed
+        tree), in order.
 
         Returns the successes (input order preserved) plus failure
         records according to the error policy; see
@@ -460,7 +479,7 @@ class BatchRunner:
                 # A composition has no drawing to derive it from; its
                 # compose fingerprint is as stable.
                 tracer.seed = (
-                    self.fingerprint if isinstance(self.mapping, NestedTgd)
+                    self.fingerprint if isinstance(self.mapping, Composition)
                     else trace_seed(self.mapping, self.spec.engine)
                 )
             if not tracer.engine:
@@ -506,7 +525,7 @@ class BatchRunner:
             success_indices=success_indices,
         )
 
-    def __call__(self, documents: Iterable[XmlElement]) -> BatchResult:
+    def __call__(self, documents: Iterable[Document]) -> BatchResult:
         return self.run(documents)
 
     def _retrieve_plan(self):
@@ -515,26 +534,10 @@ class BatchRunner:
             optimize=self.spec.optimize, exec_mode=self.spec.exec_mode,
         )
 
-    def _account(
-        self,
-        metrics: BatchMetrics,
-        doc: XmlElement,
-        result: XmlElement,
-        seconds: float,
-    ) -> None:
-        metrics.documents += 1
-        metrics.execute_seconds += seconds
-        metrics.source_elements += doc.size()
-        metrics.target_elements += result.size()
-        if self.validate:
-            metrics.validation_violations += len(
-                validate_instance(result, self.target)
-            )
-
     def _settle_failure(
         self,
         failure: DocumentFailure,
-        doc: XmlElement,
+        doc: Document,
         metrics: BatchMetrics,
         failures: dict[int, DocumentFailure],
         dead_letters: list[DeadLetter],
@@ -554,7 +557,7 @@ class BatchRunner:
 
     def _run_inline(
         self,
-        documents: Iterable[XmlElement],
+        documents: Iterable[Document],
         metrics: BatchMetrics,
         results: dict[int, XmlElement],
         failures: dict[int, DocumentFailure],
@@ -576,8 +579,8 @@ class BatchRunner:
             while to_submit:
                 _, attempt = to_submit.popleft()
                 record, cause = _attempt(
-                    plan, doc, index, attempt, self.injector, timeout,
-                    span_log is not None,
+                    plan, self.mapping.source, doc, index, attempt,
+                    self.injector, timeout, span_log is not None,
                 )
                 self._handle_record(
                     record, doc, metrics, results, failures, dead_letters,
@@ -597,7 +600,7 @@ class BatchRunner:
 
     def _run_pool(
         self,
-        documents: Iterable[XmlElement],
+        documents: Iterable[Document],
         metrics: BatchMetrics,
         results: dict[int, XmlElement],
         failures: dict[int, DocumentFailure],
@@ -614,7 +617,7 @@ class BatchRunner:
             # the parent reports the static plan shape only.
             report.pop("counters", None)
             metrics.plan = report
-        payload = pickle.dumps(plan.tgd)
+        payload = pickle.dumps((plan.tgd, self.mapping.source))
         injector_bytes = (
             pickle.dumps(self.injector) if self.injector is not None else b""
         )
@@ -698,7 +701,7 @@ class BatchRunner:
     def _handle_record(
         self,
         record: Record,
-        doc: XmlElement,
+        doc: Document,
         metrics: BatchMetrics,
         results: dict[int, XmlElement],
         failures: dict[int, DocumentFailure],
@@ -711,8 +714,7 @@ class BatchRunner:
         success, schedule a retry onto ``to_submit``, or apply the
         error policy to a terminal failure (``cause`` is the in-process
         exception fail_fast chains, when there is one)."""
-        kind, index, attempt, value, seconds = record[:5]
-        payload = record[5] if len(record) > 5 else None
+        kind, index, attempt, value, seconds, source_elements, payload = record
         if payload is not None and span_log is not None:
             # Re-base the attempt's clock (a worker's is its own) so
             # the subtree ends when the record arrived (durations
@@ -732,7 +734,14 @@ class BatchRunner:
             # first result.
             if index not in results:
                 results[index] = value
-                self._account(metrics, doc, value, seconds)
+                metrics.documents += 1
+                metrics.execute_seconds += seconds
+                metrics.source_elements += source_elements
+                metrics.target_elements += value.size()
+                if self.validate:
+                    metrics.validation_violations += len(
+                        validate_instance(value, self.target)
+                    )
             return
         failure = value
         failure.attempts = attempt + 1

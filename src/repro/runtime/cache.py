@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..core.mapping import ClipMapping
-from ..core.tgd import NestedTgd
-from .plan import CompiledPlan, compile_plan, fingerprint
+from .plan import CompiledPlan, Composition, compile_plan, fingerprint
 
 
 @dataclass
@@ -113,7 +112,7 @@ class PlanCache:
 
     def get_or_compile(
         self,
-        mapping: Union[ClipMapping, NestedTgd],
+        mapping: Union[ClipMapping, Composition],
         engine: str = "tgd",
         *,
         require_valid: bool = True,
@@ -130,8 +129,8 @@ class PlanCache:
         dictionary hit.  The fingerprint covers the resolved
         :class:`~repro.runtime.plan.ExecSpec`, so optimized, naive, and
         codegen plans for the same mapping coexist without collisions.
-        A composed mapping (a fused :class:`NestedTgd`) must come with
-        its ``fp``.
+        A :class:`~repro.runtime.plan.Composition` must come with its
+        ``fp``.
         """
         if fp is None:
             fp = fingerprint(mapping, engine, optimize=optimize, exec_mode=exec_mode)

@@ -135,8 +135,7 @@ class DeadLetter:
     """A failed input document paired with its failure record.
 
     ``document`` is the instance the failing stage consumed — or, for
-    an input that never parsed (CLI ``--error-policy skip|collect``),
-    its raw text.
+    a document the runner received as XML text, that raw text.
     """
 
     failure: DocumentFailure

@@ -9,7 +9,7 @@ the previous one wherever the delta provably cannot reach:
 :class:`IncrementalSession`, which maintains the pair across a chain of
 edits.  Both decide with one check cascade and splice with one
 implementation, the session's: :func:`transform_delta` runs its scoped
-branch in a one-shot session over copies of its inputs.
+branch in a one-shot session.
 
 Three outcomes, reported in the returned :class:`IncrementalReport`:
 
@@ -729,10 +729,11 @@ def transform_delta(
     :func:`apply_delta`.  The result is byte-identical to
     ``plan.run(new_source)`` in every mode.
 
-    ``prev_source`` and ``prev_target`` are never mutated.  The scoped
-    splice runs in a one-shot :class:`IncrementalSession` that adopts
-    copies of them; the unchanged and fallback outcomes copy nothing
-    but the returned target.
+    No input is mutated.  The scoped splice runs in a one-shot
+    :class:`IncrementalSession` that adopts a copy of ``prev_target``
+    and reads ``prev_source`` in place — or edits a copy of it, when
+    ``new_source`` is omitted.  The unchanged and fallback outcomes
+    copy nothing but the returned target.
     """
     tgd_plan = _tgd_plan_of(plan)
     size = prev_source.size()
@@ -743,11 +744,20 @@ def transform_delta(
         changed_nodes=delta.changed_nodes,
         delta_ratio=delta.ratio(size),
     )
-    if _cascade(report, delta, tgd_plan, _analyze, prev_target):
+    session: Optional[IncrementalSession] = None
+
+    def analyze(_tgd: NestedTgd) -> tuple[Optional[_Shape], str]:
+        # Building the session analyzes the shape: do it once, and only
+        # when the cascade gets as far as asking.
+        nonlocal session
         session = IncrementalSession(plan, threshold=threshold)
+        return session._shape, session._shape_reason
+
+    if _cascade(report, delta, tgd_plan, analyze, prev_target):
+        source = prev_source if new_source is not None else prev_source.copy()
         try:
-            session._adopt(prev_source.copy(), prev_target.copy(), size)
-            return session._scoped(delta, report)
+            session._adopt(source, prev_target.copy(), size)
+            return session._scoped(delta, report, new_source)
         except ReproError as exc:
             report.reason = f"scoped re-execution unavailable: {exc}"
     if report.mode == "unchanged":
@@ -765,8 +775,8 @@ class IncrementalSession:
     the previous target — and carries it across a *chain* of edits,
     the steady state of a mapping service re-transforming a document
     its user keeps editing.  :func:`transform_delta` runs the same
-    splice in a one-shot session that adopts copies of its inputs.
-    Over a chain, a session saves three costs:
+    splice in a one-shot session.  Over a chain, a session saves three
+    costs:
 
     * the source tree is **maintained in place**: each delta is applied
       to the session's own copy (:func:`~repro.xml.diff.apply_delta_in_place`),
@@ -952,8 +962,11 @@ class IncrementalSession:
         self._applied = True
 
     def _scoped(
-        self, delta: Delta, report: IncrementalReport
+        self, delta: Delta, report: IncrementalReport,
+        new_source: Optional[XmlElement] = None,
     ) -> tuple[XmlElement, IncrementalReport]:
+        """Splice the target for the edited tree: ``new_source`` if
+        given, else the maintained tree with ``delta`` applied."""
         assert self._shape is not None and self._tgd_plan is not None
         assert self._source is not None and self._target is not None
         shape = self._shape
@@ -1001,7 +1014,15 @@ class IncrementalSession:
             tuple(id(env[gen.var]) for gen in gens): index
             for index, env in enumerate(old_envs)
         }
-        self._apply(delta)
+        if new_source is None:
+            self._apply(delta)
+        else:
+            # A different tree (one-shot use, so ``_size`` may go
+            # stale): no binding identity carries over, and every memo
+            # entry points into the old one.
+            self._source = new_source
+            if self._memo is not None:
+                self._memo.clear()
         new_engine = _make_engine(self._tgd_plan, self._source, self._memo)
         new_envs = new_engine._enumerate(root, {})
         # In-place application preserves binding identities, so per-unit

@@ -40,6 +40,16 @@ ENGINES = ("tgd", "xquery", "xslt")
 
 
 @dataclass(frozen=True)
+class Composition:
+    """A composed mapping as the runtime sees it: the fused nested tgd
+    and the source schema documents are parsed against.  It has no
+    drawing to fingerprint and no target schema to validate against."""
+
+    tgd: NestedTgd
+    source: object
+
+
+@dataclass(frozen=True)
 class ExecSpec:
     """How a plan executes: ``(engine, optimize, exec_mode)``, resolved.
 
@@ -78,10 +88,10 @@ class ExecSpec:
             marker += ":codegen"
         return marker
 
-    def fingerprint(self, mapping: Union[ClipMapping, NestedTgd]) -> str:
+    def fingerprint(self, mapping: Union[ClipMapping, Composition]) -> str:
         """The plan-cache key of ``mapping`` under this spec (see
         :func:`fingerprint`)."""
-        if isinstance(mapping, NestedTgd):
+        if isinstance(mapping, Composition):
             raise ValueError(
                 "a composed mapping has no drawing to fingerprint; key it "
                 "by its compose fingerprint"
@@ -98,7 +108,7 @@ class ExecSpec:
 
 
 def fingerprint(
-    mapping: Union[ClipMapping, NestedTgd],
+    mapping: Union[ClipMapping, Composition],
     engine: str = "tgd",
     *,
     optimize: Optional[bool] = None,
@@ -348,7 +358,7 @@ def plan_from_tgd(
 
 
 def compile_plan(
-    mapping: Union[ClipMapping, NestedTgd],
+    mapping: Union[ClipMapping, Composition],
     engine: str = "tgd",
     *,
     require_valid: bool = True,
@@ -366,16 +376,16 @@ def compile_plan(
     ``fp`` lets callers that already computed the fingerprint (the
     cache) skip recomputing it.
 
-    A composed mapping is passed as its fused :class:`NestedTgd`: it
-    is already compiled, has no drawing to check, and has no
-    structural fingerprint, so ``fp`` is required for it.
+    A :class:`Composition` is already compiled, has no drawing to
+    check, and has no structural fingerprint, so ``fp`` is required
+    for it.
     """
     spec = ExecSpec(engine, optimize, exec_mode)
     if fp is None:
         fp = spec.fingerprint(mapping)
     started = time.perf_counter()
-    if isinstance(mapping, NestedTgd):
-        return _build_plan(mapping, spec, fp, started)
+    if isinstance(mapping, Composition):
+        return _build_plan(mapping.tgd, spec, fp, started)
     report = check(mapping)
     tgd = compile_clip(mapping, require_valid=require_valid, report=report)
     return _build_plan(tgd, spec, fp, started, report=report)

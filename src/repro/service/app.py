@@ -51,10 +51,12 @@ Endpoints
 
 All three transform endpoints run one request pipeline
 (:meth:`ClipService._transform`): request id and error envelope →
-deadline → decode envelope → lookup → parse with dead-lettering →
-execute → count → store → respond.  Only envelope decoding and the
-execute step differ per endpoint, and drawn and composed mappings take
-the same path.
+deadline → decode envelope → lookup → execute → count → store →
+respond.  Only envelope decoding and the execute step differ per
+endpoint, and drawn and composed mappings take the same path.  Each
+execute step parses its documents inside its one timed call: the
+:class:`~repro.runtime.batch.BatchRunner` takes the texts, and the
+delta step parses inside its ``deadline.run``.
 
 Production-safety contract (the heimdex worker idioms): every request
 runs under a :class:`~repro.runtime.retry.Deadline` whose overrun is
@@ -109,6 +111,7 @@ from ..runtime import (
     BatchMetrics,
     BatchResult,
     BatchRunner,
+    Composition,
     DeadLetter,
     Deadline,
     DocumentFailure,
@@ -221,10 +224,12 @@ class RegisteredMapping:
     operands: Tuple[str, ...] = ()
 
     @property
-    def artifact(self) -> Union[ClipMapping, NestedTgd]:
+    def artifact(self) -> Union[ClipMapping, Composition]:
         """What a plan is compiled from: the drawing, or for a
-        composition its fused tgd."""
-        return self.mapping if self.mapping is not None else self.tgd
+        composition its fused tgd with the schema to parse against."""
+        if self.mapping is not None:
+            return self.mapping
+        return Composition(self.tgd, self.source)
 
     def describe(self) -> dict:
         doc = {"fingerprint": self.fingerprint, **self.spec.describe()}
@@ -243,7 +248,7 @@ class _Job:
     endpoint: str
     fp: str
     texts: List[str]
-    #: ``(entry, documents, deadline, tracer) → (BatchResult, extra
+    #: ``(entry, texts, deadline, tracer) → (BatchResult, extra
     #: response headers)``.
     execute: Callable
     policy: ErrorPolicy = ErrorPolicy.COLLECT
@@ -675,8 +680,8 @@ class ClipService:
         """The one request pipeline every transform endpoint runs.
 
         Request id and error envelope → deadline → decode envelope →
-        lookup → parse with dead-lettering → execute → count → store →
-        respond.  Only ``decode`` (which also picks the execute step)
+        lookup → execute (which parses) → count → store → respond.
+        Only ``decode`` (which also picks the execute step)
         differs per endpoint; drawn and composed mappings take the same
         path, so both shed failures into the same envelopes, dead
         letters, counters and history.
@@ -686,38 +691,13 @@ class ClipService:
             deadline = self._deadline(params)
             job = decode(params, headers, body)
             entry = self._lookup_mapping(job.fp)
-            documents, positions, parse_failures, parse_letters = (
-                self._parse(entry, job, deadline)
-            )
             tracer = SpanTracer() if _flag(params.get("trace")) else None
-            if documents or job.batch:
-                # A batch runs even when every input failed to parse, so
-                # its metrics still describe the runner.
-                batch, extra_headers = job.execute(
-                    entry, documents, deadline, tracer
-                )
-            else:
-                # The one document did not parse: nothing to execute.
-                batch, extra_headers = BatchResult([], BatchMetrics(
-                    engine=entry.spec.engine, workers=1,
-                    error_policy=job.policy.value,
-                )), ()
-            for failure in batch.failures:
-                failure.index = positions[failure.index]
-            failures = sorted(
-                batch.failures + parse_failures,
-                key=lambda failure: failure.index,
+            batch, extra_headers = job.execute(
+                entry, job.texts, deadline, tracer
             )
-            letters = sorted(
-                batch.dead_letters + parse_letters,
-                key=lambda letter: letter.failure.index,
-            )
-            metrics = batch.metrics
-            metrics.failures += len(parse_failures)
-            metrics.dead_letter += len(parse_letters)
-            metrics_doc = metrics.to_dict()
+            failures, metrics_doc = batch.failures, batch.metrics.to_dict()
             self.metrics.count_documents(len(batch.results), len(failures))
-            paths = self._dead_letter(letters, request_id)
+            paths = self._dead_letter(batch.dead_letters, request_id)
             store = dict(
                 endpoint=job.endpoint, entry=entry, metrics_doc=metrics_doc
             )
@@ -744,7 +724,7 @@ class ClipService:
                     "documents": len(job.texts),
                     "succeeded": len(batch.results),
                     "results": [
-                        {"index": positions[index], "xml": to_xml(result)}
+                        {"index": index, "xml": to_xml(result)}
                         for index, result in zip(
                             batch.success_indices, batch.results
                         )
@@ -769,38 +749,6 @@ class ClipService:
             if isinstance(exc, (ReproError, ValueError)):
                 return self._error_response(exc, error_status(exc), request_id)
             raise
-
-    def _parse(self, entry: RegisteredMapping, job: _Job,
-               deadline: Deadline) -> tuple:
-        """Parse every document with per-document isolation, like the
-        CLI: under skip/collect a malformed input is one failure, not a
-        dead request, and under collect its raw text is what gets
-        dead-lettered; under fail_fast the first one aborts.  A parse
-        that overruns the request deadline fails a single-document
-        request the same way, but aborts a batch (504): the budget left
-        for the rest of the batch is gone.
-
-        Returns the parsed documents, their positions in the request,
-        and the parse failures and dead letters.
-        """
-        documents, positions, failures, letters = [], [], [], []
-        for position, text in enumerate(job.texts):
-            try:
-                documents.append(deadline.run(
-                    lambda text=text: parse_xml(text, schema=entry.source)
-                ))
-            except ReproError as exc:
-                if job.policy is ErrorPolicy.FAIL_FAST or (
-                    job.batch and isinstance(exc, DocumentTimeout)
-                ):
-                    raise
-                failure = DocumentFailure.from_exception(position, exc)
-                failures.append(failure)
-                if job.policy is ErrorPolicy.COLLECT:
-                    letters.append(DeadLetter(failure, text))
-            else:
-                positions.append(position)
-        return documents, positions, failures, letters
 
     def _runner(self, entry: RegisteredMapping, tracer, **options) -> BatchRunner:
         return BatchRunner(
@@ -918,13 +866,13 @@ class ClipService:
             )
         return _Job("transform", fp, [text], self._execute_one)
 
-    def _execute_one(self, entry: RegisteredMapping, documents: list,
+    def _execute_one(self, entry: RegisteredMapping, texts: List[str],
                      deadline: Deadline, tracer):
         runner = self._runner(
             entry, tracer, error_policy=ErrorPolicy.COLLECT.value,
             timeout=_runner_timeout(deadline),
         )
-        return runner.run(documents), ()
+        return runner.run(texts), ()
 
     def _decode_batch(self, params: dict, headers: Mapping[str, str],
                       body: bytes) -> _Job:
@@ -974,7 +922,7 @@ class ClipService:
             "transform_batch", fp, sources, execute, policy=policy, batch=True
         )
 
-    def _execute_batch(self, entry: RegisteredMapping, documents: list,
+    def _execute_batch(self, entry: RegisteredMapping, texts: List[str],
                        deadline: Deadline, tracer, *, policy: ErrorPolicy,
                        workers: int, max_retries: int,
                        timeout: Optional[float], validate: bool):
@@ -984,14 +932,22 @@ class ClipService:
             validate=validate,
         )
         try:
-            return deadline.run(lambda: runner.run(documents)), ()
+            batch = deadline.run(lambda: runner.run(texts))
         except DocumentFailureError as exc:
             # fail_fast: the first terminal failure aborts the request.
             metrics = BatchMetrics(
                 engine=entry.spec.engine, workers=runner.workers,
                 error_policy=policy.value, failures=1,
             )
-            return BatchResult([], metrics, failures=[exc.failure]), ()
+            batch = BatchResult([], metrics, failures=[exc.failure])
+        if deadline.expired():
+            # A document ran out the request's budget, which leaves none
+            # for the rest of the batch: abort the request (504) under
+            # every policy, whichever timer noticed first.
+            raise DocumentTimeout(
+                f"request deadline exceeded ({deadline.budget:g}s budget)"
+            )
+        return batch, ()
 
     def _decode_delta(self, params: dict, headers: Mapping[str, str],
                       body: bytes) -> _Job:
@@ -1022,11 +978,10 @@ class ClipService:
         )
         return _Job("transform_delta", base["mapping"], [text], execute)
 
-    def _execute_delta(self, entry: RegisteredMapping, documents: list,
+    def _execute_delta(self, entry: RegisteredMapping, texts: List[str],
                        deadline: Deadline, tracer, *, base: dict,
                        threshold: Optional[float]):
-        [new_source] = documents
-        started = time.perf_counter()
+        [text] = texts
         plan = self.cache.get_or_compile(
             entry.artifact, entry.spec.engine, fp=entry.fingerprint,
             optimize=entry.spec.optimize, exec_mode=entry.spec.exec_mode,
@@ -1034,19 +989,22 @@ class ClipService:
         kwargs = {} if threshold is None else {"threshold": threshold}
 
         def step():
+            new_source = parse_xml(text, schema=entry.source)
+            started = time.perf_counter()
             prev_source = parse_xml(base["source_xml"], schema=entry.source)
             prev_target = parse_xml(base["result_xml"], schema=entry.target)
             delta = compute_delta(prev_source, new_source)
-            return transform_delta(
+            result, report = transform_delta(
                 plan, prev_source, prev_target, delta,
                 new_source=new_source, **kwargs,
             )
+            return new_source, result, report, time.perf_counter() - started
 
         try:
-            result, report = deadline.run(step)
+            new_source, result, report, elapsed = deadline.run(step)
         except ReproError as exc:
             # Shed like a failed single transform: one document failure,
-            # dead-lettered and counted.
+            # dead-lettered as its raw text and counted.
             failure = DocumentFailure.from_exception(0, exc)
             metrics = BatchMetrics(
                 engine=entry.spec.engine, workers=1,
@@ -1055,9 +1013,8 @@ class ClipService:
             )
             return BatchResult(
                 [], metrics, failures=[failure],
-                dead_letters=[DeadLetter(failure, new_source)],
+                dead_letters=[DeadLetter(failure, text)],
             ), ()
-        elapsed = time.perf_counter() - started
         self.metrics.count_incremental(fallback=not report.incremental)
         metrics = BatchMetrics(
             engine=entry.spec.engine,

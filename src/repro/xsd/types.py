@@ -59,9 +59,11 @@ class AtomicType:
 
 
 STRING = AtomicType("String", "xs:string", str, str)
-INT = AtomicType("int", "xs:integer", int, lambda t: int(t.strip()))
-FLOAT = AtomicType("float", "xs:decimal", float, lambda t: float(t.strip()))
+INT = AtomicType("int", "xs:integer", int, int)
+FLOAT = AtomicType("float", "xs:decimal", float, float)
 BOOLEAN = AtomicType("boolean", "xs:boolean", bool, _parse_bool)
+# No lambdas among the parsers (``int``/``float`` strip surrounding
+# whitespace themselves): schemas must pickle to reach pool workers.
 
 #: All built-in atomic types, by their display name.
 BY_NAME: dict[str, AtomicType] = {

@@ -196,6 +196,19 @@ class TestBatch:
         ) == 2
         assert "malformed XML" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["fail_fast", "skip", "collect"])
+    def test_unreadable_input_exits_2_naming_the_file(
+        self, mapping_file, source_files, tmp_path, capsys, policy
+    ):
+        missing = str(tmp_path / "missing.xml")
+        out_dir = tmp_path / "out"
+        assert main(
+            ["batch", mapping_file, source_files[0], missing,
+             "--error-policy", policy, "--output-dir", str(out_dir)]
+        ) == 2
+        assert missing in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_xquery_engine_agrees(self, mapping_file, source_files, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         assert main(

@@ -368,6 +368,74 @@ class TestOneSplice:
         assert to_xml(stateless) == to_xml(stateful) == to_xml(plan.run(new))
 
 
+class TestScopedDeltaCost:
+    """A scoped :func:`transform_delta` given the edited tree reads the
+    previous source in place: it copies only the previous target (whose
+    fragments move into the result) and analyzes the mapping once."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        from repro.runtime import incremental
+        from repro.xml.model import XmlElement
+
+        copies, analyses = [], []
+        copy, analyze = XmlElement.copy, incremental._analyze
+
+        def counting_copy(node):
+            if node.parent is None:
+                copies.append(node)
+            return copy(node)
+
+        def counting_analyze(tgd):
+            analyses.append(tgd)
+            return analyze(tgd)
+
+        monkeypatch.setattr(XmlElement, "copy", counting_copy)
+        monkeypatch.setattr(incremental, "_analyze", counting_analyze)
+        return copies, analyses
+
+    @pytest.mark.parametrize(
+        "figure, edit",
+        [("fig3", "ename"), ("fig5", "drop-project"), ("fig7", "pname"),
+         ("fig7", "drop-project")],
+    )
+    def test_scoped_call_with_new_source(self, figure, edit, monkeypatch):
+        plan = _plan(figure)
+        old = _instance()
+        old_target = plan.run(old)
+        new = old.copy()
+        _MERGED_EDITS[edit](new)
+        delta = compute_delta(old, new)
+        before = to_xml(old), to_xml(new), to_xml(old_target)
+        copies, analyses = self._count(monkeypatch)
+        got, report = transform_delta(
+            plan, old, old_target, delta, new_source=new
+        )
+        monkeypatch.undo()
+        assert report.mode == "scoped"
+        assert len(copies) == 1 and copies[0] is old_target
+        assert len(analyses) == 1
+        assert to_xml(got) == to_xml(plan.run(new))
+        assert (to_xml(old), to_xml(new), to_xml(old_target)) == before
+
+    def test_scoped_call_without_new_source_edits_a_copy(self, monkeypatch):
+        plan = _plan("fig7")
+        old = _instance()
+        old_target = plan.run(old)
+        new = old.copy()
+        _MERGED_EDITS["pname"](new)
+        delta = compute_delta(old, new)
+        source_before = to_xml(old)
+        copies, analyses = self._count(monkeypatch)
+        got, report = transform_delta(plan, old, old_target, delta)
+        monkeypatch.undo()
+        assert report.mode == "scoped"
+        assert {id(node) for node in copies} == {id(old), id(old_target)}
+        assert len(analyses) == 1
+        assert to_xml(got) == to_xml(plan.run(new))
+        assert to_xml(old) == source_before
+
+
 class TestPlanMemo:
     CHAINS = {
         "seq": ("Depts", "Dept", "Proj"),

@@ -425,8 +425,11 @@ class TestDeadlines:
 
     @staticmethod
     def _slow_parse(monkeypatch, seconds: float) -> None:
-        """Make every document parse in the service take ``seconds``."""
-        from repro.service import app
+        """Make every document parse in the service take ``seconds``.
+
+        Transform documents are parsed by the batch runner, inside the
+        document's timed attempt."""
+        from repro.runtime import batch
         from repro.xml.parser import parse_xml
 
         def slow(*args, **kwargs):
@@ -435,7 +438,7 @@ class TestDeadlines:
             time.sleep(seconds)
             return parse_xml(*args, **kwargs)
 
-        monkeypatch.setattr(app, "parse_xml", slow)
+        monkeypatch.setattr(batch, "parse_xml", slow)
 
     def test_parse_overrun_is_a_504_document_failure(
         self, mapping, source_xml, dead_letter_dir, monkeypatch
@@ -1322,3 +1325,114 @@ class TestCompose:
         doc = json.loads(response.body)
         assert doc["error"] == "DocumentTimeout"
         assert doc["timed_out"] is True
+
+
+class TestThreadsPerRequest:
+    """Under a deadline, a single or delta transform starts one thread:
+    the document's parse runs inside the same timed call as its
+    evaluation, not under a deadline thread of its own."""
+
+    @staticmethod
+    def _count_threads(monkeypatch) -> list:
+        import threading
+
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        return started
+
+    def test_transform_starts_one_thread(self, mapping, source_xml, monkeypatch):
+        service = make_service(deadline=30.0)
+        fp = register(service, mapping)
+        started = self._count_threads(monkeypatch)
+        response = service.dispatch(
+            "POST", f"/transform?mapping={fp}", {}, source_xml.encode()
+        )
+        assert response.status == 200
+        assert len(started) == 1
+
+    def test_delta_starts_one_thread(self, mapping, source_xml, monkeypatch):
+        service = make_service(deadline=30.0)
+        fp = register(service, mapping)
+        first = service.dispatch(
+            "POST", f"/transform?mapping={fp}", {}, source_xml.encode()
+        )
+        request_id = dict(first.headers)["X-Clip-Request"]
+        edited = TestTransformDelta()._edited(source_xml)
+        started = self._count_threads(monkeypatch)
+        response = service.dispatch(
+            "POST", "/transform/delta", {},
+            json.dumps({"request": request_id, "document": edited}).encode(),
+        )
+        assert response.status == 200
+        assert len(started) == 1
+
+
+class TestBatchParseFailures:
+    """Batch documents are parsed by the runner, so a parse failure takes
+    the runner's failure path: request positions, the document-failure
+    envelope, the request history."""
+
+    def test_fail_fast_parse_error_is_a_stored_document_failure(
+        self, service, mapping, source_xml
+    ):
+        fp = register(service, mapping)
+        response = service.dispatch(
+            "POST", "/transform/batch", {},
+            json.dumps({
+                "mapping": fp,
+                "documents": [source_xml, "<broken", source_xml],
+                "error_policy": "fail_fast",
+            }).encode(),
+        )
+        assert response.status == 400
+        doc = json.loads(response.body)
+        assert doc["error"] == "XmlParseError"
+        assert (doc["timed_out"], doc["attempts"]) == (False, 1)
+        stored = json.loads(
+            service.dispatch("GET", f"/requests/{doc['request']}").body
+        )
+        assert stored["status"] == 400
+        assert stored["metrics"]["failures"] == 1
+
+    def test_fail_fast_batch_parse_overrun_is_504(
+        self, mapping, source_xml, monkeypatch
+    ):
+        service = make_service()
+        fp = register(service, mapping)
+        TestDeadlines._slow_parse(monkeypatch, 1.0)
+        response = service.dispatch(
+            "POST", "/transform/batch?deadline=0.1", {},
+            json.dumps({
+                "mapping": fp, "documents": [source_xml],
+                "error_policy": "fail_fast",
+            }).encode(),
+        )
+        assert response.status == 504
+        assert json.loads(response.body)["error"] == "DocumentTimeout"
+
+    def test_injector_indices_address_request_positions(
+        self, mapping, source_xml
+    ):
+        service = make_service(
+            injector=FaultInjector({2: Fault(kind="raise")})
+        )
+        fp = register(service, mapping)
+        response = service.dispatch(
+            "POST", "/transform/batch", {},
+            json.dumps({
+                "mapping": fp,
+                "documents": [source_xml, "<broken", source_xml],
+            }).encode(),
+        )
+        assert response.status == 200
+        doc = json.loads(response.body)
+        assert [entry["index"] for entry in doc["results"]] == [0]
+        assert [(f["index"], f["error"]) for f in doc["failures"]] == [
+            (1, "XmlParseError"), (2, "ExecutionError"),
+        ]

@@ -77,3 +77,35 @@ class TestLookup:
     def test_by_xsd_name_unknown(self):
         with pytest.raises(SchemaError):
             type_by_xsd_name("xs:duration")
+
+
+class TestPickling:
+    """Schemas cross process boundaries: batch pool workers receive the
+    source schema to parse documents against."""
+
+    @pytest.mark.parametrize("atomic", [STRING, INT, FLOAT, BOOLEAN])
+    def test_atomic_types_round_trip(self, atomic):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(atomic))
+        assert copy == atomic
+        assert copy.parse(" 1 ") == atomic.parse(" 1 ")
+
+    @pytest.mark.parametrize("figure", [
+        "mapping_fig1_desired", "mapping_fig3", "mapping_fig4",
+        "mapping_fig5", "mapping_fig6", "mapping_fig7", "mapping_fig8",
+        "mapping_fig9",
+    ])
+    def test_every_deptstore_source_schema_round_trips(self, figure):
+        import pickle
+
+        from repro.scenarios import deptstore
+        from repro.xml.parser import parse_xml
+        from repro.xml.serialize import to_xml
+
+        schema = getattr(deptstore, figure)().source
+        copy = pickle.loads(pickle.dumps(schema))
+        text = to_xml(deptstore.source_instance())
+        assert to_xml(parse_xml(text, schema=copy)) == to_xml(
+            parse_xml(text, schema=schema)
+        )
